@@ -524,12 +524,13 @@ bool ipcp::parseSummary(std::string_view Text, ProgramSummary &Out,
   return true;
 }
 
-ProgramSummary ipcp::makeSummary(std::string ProgramName, uint64_t SourceHash,
-                                 const Module &M, const SymbolTable &Symbols,
-                                 const CallGraph &CG,
-                                 const ProgramJumpFunctions &Jfs,
-                                 const RefAliasInfo *Aliases,
-                                 const std::vector<ProcId> &Procs) {
+/// Extracts the summary of every procedure from a built
+/// ProgramJumpFunctions, with the alias masks \p Aliases recorded.
+static ProgramSummary makeSummary(std::string ProgramName, uint64_t SourceHash,
+                                  const Module &M, const SymbolTable &Symbols,
+                                  const CallGraph &CG,
+                                  const ProgramJumpFunctions &Jfs,
+                                  const RefAliasInfo &Aliases) {
   ProgramSummary S;
   S.Program = std::move(ProgramName);
   S.SourceHash = SourceHash;
@@ -537,13 +538,7 @@ ProgramSummary ipcp::makeSummary(std::string ProgramName, uint64_t SourceHash,
   S.NumProcs = CG.numProcs();
   S.NumGlobals = Symbols.globalScalars().size();
 
-  std::vector<ProcId> Cover = Procs;
-  if (Cover.empty())
-    for (ProcId P = 0; P < S.NumProcs; ++P)
-      Cover.push_back(P);
-  std::sort(Cover.begin(), Cover.end());
-
-  for (ProcId P : Cover) {
+  for (ProcId P = 0; P < S.NumProcs; ++P) {
     ProcSummary PS;
     PS.Proc = P;
     PS.Name = M.function(P).name();
@@ -559,12 +554,10 @@ ProgramSummary ipcp::makeSummary(std::string ProgramName, uint64_t SourceHash,
       PS.Returns.emplace_back(Sym, J.clone());
     std::sort(PS.Returns.begin(), PS.Returns.end(),
               [](const auto &A, const auto &B) { return A.first < B.first; });
-    if (Aliases) {
-      const std::vector<uint8_t> &Mask = Aliases->unstableMask(P);
-      for (SymbolId Sym = 0; Sym < Mask.size(); ++Sym)
-        if (Mask[Sym])
-          PS.AliasUnstable.push_back(Sym);
-    }
+    const std::vector<uint8_t> &Mask = Aliases.unstableMask(P);
+    for (SymbolId Sym = 0; Sym < Mask.size(); ++Sym)
+      if (Mask[Sym])
+        PS.AliasUnstable.push_back(Sym);
     S.Procs.push_back(std::move(PS));
   }
   return S;
@@ -586,73 +579,7 @@ ProgramSummary ipcp::buildSummary(AnalysisSession &Session,
       buildJumpFunctions(M, Session.symbols(), CG, MRI, Opts, &Aliases, Pool,
                          &Session, FlowAliases, CopyFacts);
   return makeSummary(std::move(ProgramName), SourceHash, M, Session.symbols(),
-                     CG, Jfs, &Aliases);
-}
-
-bool ipcp::mergeSummaries(std::vector<ProgramSummary> Parts,
-                          ProgramSummary &Out, std::string &Error) {
-  if (Parts.empty()) {
-    Error = "no summary parts to merge";
-    return false;
-  }
-  ProgramSummary Merged;
-  const ProgramSummary &First = Parts.front();
-  Merged.Program = First.Program;
-  Merged.SourceHash = First.SourceHash;
-  Merged.Options = First.Options;
-  Merged.NumProcs = First.NumProcs;
-  Merged.NumGlobals = First.NumGlobals;
-
-  std::vector<int> Owner(Merged.NumProcs, -1);
-  for (size_t I = 0; I < Parts.size(); ++I) {
-    ProgramSummary &Part = Parts[I];
-    if (Part.Program != Merged.Program) {
-      Error = "part " + std::to_string(I) + " summarizes program '" +
-              Part.Program + "', not '" + Merged.Program + "'";
-      return false;
-    }
-    if (Part.SourceHash != Merged.SourceHash) {
-      Error = "part " + std::to_string(I) +
-              " was built from different source text (hash mismatch)";
-      return false;
-    }
-    if (!sameJumpFunctionOptions(Part.Options, Merged.Options)) {
-      Error = "part " + std::to_string(I) +
-              " was built under a different configuration";
-      return false;
-    }
-    if (Part.NumProcs != Merged.NumProcs ||
-        Part.NumGlobals != Merged.NumGlobals) {
-      Error = "part " + std::to_string(I) + " disagrees on program shape";
-      return false;
-    }
-    for (ProcSummary &P : Part.Procs) {
-      if (P.Proc >= Merged.NumProcs) {
-        Error = "part " + std::to_string(I) + " covers out-of-range procedure";
-        return false;
-      }
-      if (Owner[P.Proc] >= 0) {
-        Error = "procedure '" + P.Name + "' (id " + std::to_string(P.Proc) +
-                ") appears in parts " + std::to_string(Owner[P.Proc]) +
-                " and " + std::to_string(I) + " — overlapping partition";
-        return false;
-      }
-      Owner[P.Proc] = int(I);
-      Merged.Procs.push_back(std::move(P));
-    }
-  }
-  for (ProcId P = 0; P < Merged.NumProcs; ++P)
-    if (Owner[P] < 0) {
-      Error = "no part covers procedure id " + std::to_string(P) +
-              " — gapped partition";
-      return false;
-    }
-  std::sort(Merged.Procs.begin(), Merged.Procs.end(),
-            [](const ProcSummary &A, const ProcSummary &B) {
-              return A.Proc < B.Proc;
-            });
-  Out = std::move(Merged);
-  return true;
+                     CG, Jfs, Aliases);
 }
 
 bool ipcp::reconstituteJumpFunctions(const ProgramSummary &S, const Module &M,
@@ -663,7 +590,7 @@ bool ipcp::reconstituteJumpFunctions(const ProgramSummary &S, const Module &M,
   if (!S.complete()) {
     Error = "summary of '" + S.Program + "' is partial (" +
             std::to_string(S.Procs.size()) + " of " +
-            std::to_string(S.NumProcs) + " procedures); merge before solving";
+            std::to_string(S.NumProcs) + " procedures)";
     return false;
   }
   if (S.NumProcs != CG.numProcs()) {

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The distributed tier's interchange format: per-procedure jump-function
-/// summaries as versioned, canonical JSON — the analogue of libosuction's
-/// per-TU jump-function files, which cooperating compiler processes write
-/// independently and a merge step folds into one whole-program
-/// propagation. A summary carries, per procedure, the forward jump
+/// Per-procedure jump-function summaries as versioned, canonical JSON —
+/// the analogue of libosuction's per-TU jump-function files — written by
+/// `ipcp-driver --summary-out` and loaded by `--summary-in` in place of
+/// stage 2 (jump-function construction). A summary carries, per
+/// procedure, the forward jump
 /// functions of every call site, the return jump functions, and the
 /// alias-unstable mask the builder saw; every jump function is stored as
 /// its extensional fingerprint (JumpFunction::appendFingerprint), so
@@ -23,12 +23,12 @@
 ///     groups reconstituted functions with freshly built ones.
 ///
 /// Robustness contract (summary files cross process boundaries, like the
-/// fuzz corpus and the serve protocol): parseSummary, mergeSummaries and
+/// fuzz corpus and the serve protocol): parseSummary and
 /// reconstituteJumpFunctions never abort on malformed input. Truncated
 /// files, version skew, unknown fields, out-of-range ids, fingerprint
-/// garbage, stats that disagree with content, and overlapping or gapped
-/// partitions all produce a diagnostic and a clean failure — a summary is
-/// either loaded exactly or rejected loudly, never silently merged.
+/// garbage, stats that disagree with content, and partial summaries all
+/// produce a diagnostic and a clean failure — a summary is either loaded
+/// exactly or rejected loudly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,8 +72,8 @@ struct ProcSummary {
   ProcSummary &operator=(ProcSummary &&) = default;
 };
 
-/// A serializable (possibly partial) jump-function summary of one
-/// program under one builder configuration.
+/// A serializable jump-function summary of one program under one builder
+/// configuration.
 struct ProgramSummary {
   std::string Program;
   /// FNV-1a of the program source; guards against applying a summary to
@@ -83,8 +83,8 @@ struct ProgramSummary {
   /// Whole-program shape guards: procedure and global-scalar counts.
   size_t NumProcs = 0;
   size_t NumGlobals = 0;
-  /// Covered procedures, ascending by ProcId. A partial summary (one
-  /// shard's slice) covers a subset; mergeSummaries assembles full ones.
+  /// Covered procedures, ascending by ProcId. The document grammar
+  /// admits a subset; reconstituteJumpFunctions refuses one.
   std::vector<ProcSummary> Procs;
 
   ProgramSummary() = default;
@@ -100,8 +100,7 @@ struct ProgramSummary {
 uint64_t summarySourceHash(std::string_view Source);
 
 /// Canonical token of a jump-function kind ("literal", "intra", "pass",
-/// "poly") and its inverse — shared by the summary format and the shard
-/// job files so the two never drift.
+/// "poly") in summary documents, and its inverse.
 const char *jumpFunctionKindToken(JumpFunctionKind K);
 bool parseJumpFunctionKindToken(const std::string &Token,
                                 JumpFunctionKind &Out);
@@ -126,16 +125,6 @@ std::string serializeSummary(const ProgramSummary &S);
 bool parseSummary(std::string_view Text, ProgramSummary &Out,
                   std::string &Error);
 
-/// Extracts the summary of \p Procs (empty = every procedure) from a
-/// built ProgramJumpFunctions. \p Aliases may be null (no by-reference
-/// aliasing analyzed — the masks serialize empty).
-ProgramSummary makeSummary(std::string ProgramName, uint64_t SourceHash,
-                           const Module &M, const SymbolTable &Symbols,
-                           const CallGraph &CG,
-                           const ProgramJumpFunctions &Jfs,
-                           const RefAliasInfo *Aliases,
-                           const std::vector<ProcId> &Procs = {});
-
 /// Builds the full summary of one checked program through \p Session's
 /// caches (byte-identical to a cold build; see JumpFunctionBuilder).
 ProgramSummary buildSummary(AnalysisSession &Session,
@@ -143,14 +132,8 @@ ProgramSummary buildSummary(AnalysisSession &Session,
                             std::string ProgramName, uint64_t SourceHash,
                             ThreadPool *Pool = nullptr);
 
-/// Merges per-procedure partial summaries into one complete summary.
-/// Every part must agree on program, source hash, configuration, and
-/// shape; the covered procedure sets must neither overlap nor leave a
-/// gap. Any violation fails loudly with a diagnostic naming the part.
-bool mergeSummaries(std::vector<ProgramSummary> Parts, ProgramSummary &Out,
-                    std::string &Error);
-
-/// Reconstitutes a complete summary into solver-ready jump functions,
+/// Reconstitutes a complete summary into solver-ready jump functions
+/// (a partial one is refused),
 /// validating its shape against the program actually loaded: procedure
 /// names, per-procedure call-site counts, per-site argument counts
 /// against the callee's formals, and global counts must all line up.

@@ -6,12 +6,13 @@
 
 #include "serve/Transport.h"
 
-#include "serve/Handler.h"
+#include "serve/Server.h"
 
 #include <condition_variable>
 #include <istream>
 #include <mutex>
 #include <ostream>
+#include <system_error>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -21,8 +22,7 @@
 
 using namespace ipcp;
 
-void ipcp::serveStream(RequestHandler &S, std::istream &In,
-                       std::ostream &Out) {
+void ipcp::serveStream(Server &S, std::istream &In, std::ostream &Out) {
   std::mutex WriteMutex; // Replies land from worker threads; serialize.
   std::mutex DoneMutex;
   std::condition_variable DoneCv;
@@ -76,8 +76,8 @@ void sendAll(int Fd, const std::string &Data) {
 
 /// Serves one connection synchronously: read a line, answer it, repeat
 /// until the client hangs up. Within a connection requests serialize;
-/// across connections the handler interleaves them.
-void serveConnection(int Fd, RequestHandler &S) {
+/// across connections the server interleaves them.
+void serveConnection(int Fd, Server &S) {
   std::string Buffer;
   char Chunk[4096];
   for (;;) {
@@ -106,9 +106,18 @@ TcpListener::~TcpListener() {
   stop();
   if (Fd >= 0)
     ::close(Fd);
-  for (std::thread &T : Conns)
-    if (T.joinable())
-      T.join();
+  reap(/*All=*/true);
+}
+
+void TcpListener::reap(bool All) {
+  for (auto It = Conns.begin(); It != Conns.end();) {
+    if (!All && !It->Finished.load(std::memory_order_acquire)) {
+      ++It;
+      continue;
+    }
+    It->Thread.join();
+    It = Conns.erase(It);
+  }
 }
 
 bool TcpListener::listen(uint16_t Port, std::string &Error) {
@@ -145,8 +154,9 @@ bool TcpListener::listen(uint16_t Port, std::string &Error) {
   return true;
 }
 
-void TcpListener::run(RequestHandler &S) {
+void TcpListener::run(Server &S) {
   while (!Stopping.load(std::memory_order_acquire) && !S.draining()) {
+    reap(/*All=*/false);
     pollfd Pfd = {Fd, POLLIN, 0};
     int N = ::poll(&Pfd, 1, /*timeout_ms=*/200);
     if (N < 0)
@@ -156,10 +166,17 @@ void TcpListener::run(RequestHandler &S) {
     int Client = ::accept(Fd, nullptr, nullptr);
     if (Client < 0)
       continue;
-    Conns.emplace_back([Client, &S] { serveConnection(Client, S); });
+    Connection &C = Conns.emplace_back();
+    try {
+      C.Thread = std::thread([Client, &S, &C] {
+        serveConnection(Client, S);
+        C.Finished.store(true, std::memory_order_release);
+      });
+    } catch (const std::system_error &) {
+      // Out of threads: refuse this connection, keep serving the rest.
+      ::close(Client);
+      Conns.pop_back();
+    }
   }
-  for (std::thread &T : Conns)
-    if (T.joinable())
-      T.join();
-  Conns.clear();
+  reap(/*All=*/true);
 }

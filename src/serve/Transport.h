@@ -17,14 +17,12 @@
 /// request begins draining, after every submitted request has been
 /// answered.
 ///
-/// Both transports speak to a RequestHandler (serve/Handler.h), not to
-/// Server directly, so the same pumps front a computing Server or a
-/// forwarding Router.
-///
 /// TcpListener accepts loopback connections and serves each on its own
 /// thread, one request at a time per connection (concurrency comes from
 /// opening more connections, which is what the bench's closed-loop
-/// clients do). The listener binds 127.0.0.1 only — this is a local
+/// clients do). Finished connection threads are joined as the accept
+/// loop goes, so a long-lived server holds threads only for open
+/// connections. The listener binds 127.0.0.1 only — this is a local
 /// analysis daemon, not a network service.
 ///
 //===----------------------------------------------------------------------===//
@@ -35,19 +33,19 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <list>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace ipcp {
 
-class RequestHandler;
+class Server;
 
 /// Pumps request lines from \p In into \p S and reply lines to \p Out
 /// (one per line, flushed). Returns at EOF or when a shutdown request
 /// begins draining; every reply for a submitted request has been
 /// written by the time it returns. Blank lines are ignored.
-void serveStream(RequestHandler &S, std::istream &In, std::ostream &Out);
+void serveStream(Server &S, std::istream &In, std::ostream &Out);
 
 /// A loopback TCP acceptor serving one connection per thread.
 class TcpListener {
@@ -69,16 +67,27 @@ public:
 
   /// Accept loop. Returns once stop() is called or \p S starts
   /// draining; all connection threads are joined before it returns.
-  void run(RequestHandler &S);
+  void run(Server &S);
 
   /// Signals run() to return. Safe from any thread.
   void stop() { Stopping.store(true, std::memory_order_release); }
 
 private:
+  /// One connection's thread. List nodes never move, so the thread can
+  /// flag its own completion in place.
+  struct Connection {
+    std::atomic<bool> Finished{false};
+    std::thread Thread;
+  };
+
+  /// Joins every finished connection thread and forgets it; with
+  /// \p All, joins the live ones too.
+  void reap(bool All);
+
   int Fd = -1;
   uint16_t BoundPort = 0;
   std::atomic<bool> Stopping{false};
-  std::vector<std::thread> Conns;
+  std::list<Connection> Conns;
 };
 
 } // namespace ipcp

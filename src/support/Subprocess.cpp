@@ -23,8 +23,7 @@ std::string ProcessExit::str() const {
 }
 
 Subprocess::~Subprocess() {
-  // Reap rather than leak: an unwaited child would outlive its
-  // coordinator as a zombie and make crash tests flaky.
+  // Reap rather than leak: an unwaited child would linger as a zombie.
   if (Pid > 0 && !Waited) {
     kill();
     wait();
@@ -55,9 +54,8 @@ Subprocess &Subprocess::operator=(Subprocess &&Other) noexcept {
 bool Subprocess::spawn(const std::vector<std::string> &Argv,
                        const std::string &StdoutPath,
                        const std::string &StderrPath, std::string &Error) {
-  // A reaped child may be replaced — the shard coordinator reuses a
-  // partition's slot when it reassigns a crashed worker. Only spawning
-  // over a live (unreaped) child is a bug.
+  // A reaped child may be replaced; only spawning over a live (unreaped)
+  // child is a bug.
   assert((Pid <= 0 || Waited) && "spawn() on a live Subprocess");
   if (Argv.empty()) {
     Error = "empty argv";
@@ -128,13 +126,4 @@ ProcessExit Subprocess::wait() {
 void Subprocess::kill() {
   if (Pid > 0 && !Waited)
     ::kill(static_cast<pid_t>(Pid), SIGKILL);
-}
-
-std::string ipcp::currentExecutablePath() {
-  char Buf[4096];
-  ssize_t N = ::readlink("/proc/self/exe", Buf, sizeof(Buf) - 1);
-  if (N <= 0)
-    return "";
-  Buf[N] = '\0';
-  return Buf;
 }

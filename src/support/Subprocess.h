@@ -5,16 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The minimal process-spawning layer the distributed tier needs: the
-/// shard coordinator forks ipcp-driver workers and the serve router
-/// forks ipcp-serve backends, both communicating through files or TCP —
-/// never through inherited descriptors, so a child is fully described by
-/// its argv. POSIX-only, like the TCP transport.
+/// A minimal process-spawning layer: the serve benchmark forks an
+/// ipcp-serve and talks to it over TCP — never through inherited
+/// descriptors, so a child is fully described by its argv. POSIX-only,
+/// like the TCP transport.
 ///
 /// Waiting distinguishes clean exits from crashes (signals, nonzero
-/// status): the coordinator's crash-recovery path keys off that
-/// distinction, reassigning a dead worker's partition instead of
-/// trusting partial output.
+/// status), so a caller can tell a server that died from one that shut
+/// down cleanly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,9 +35,8 @@ struct ProcessExit {
   std::string str() const;
 };
 
-/// A spawned child process. Move-only; the destructor asserts the child
-/// was waited for or detached — silently leaking zombies is how crash
-/// recovery bugs hide.
+/// A spawned child process. Move-only; the destructor kills and reaps a
+/// child that is still running, so no zombie outlives its owner.
 class Subprocess {
 public:
   Subprocess() = default;
@@ -75,11 +72,6 @@ private:
   bool Waited = false;
   ProcessExit Exit;
 };
-
-/// Absolute path of the running executable (/proc/self/exe); empty on
-/// failure. The shard worker re-execs itself through this, so tests and
-/// benches never guess at install locations.
-std::string currentExecutablePath();
 
 } // namespace ipcp
 

@@ -1,9 +1,11 @@
 # Driver CLI contract test, run via `cmake -P` (see tests/CMakeLists.txt).
 # Bad inputs must produce a diagnostic and a nonzero exit instead of
-# silently analyzing an empty program; --run/--validate must work.
+# silently analyzing an empty program; --run/--validate and the summary
+# round trip must work; options that no longer exist, in ipcp-driver or
+# ipcp-serve, must be rejected as unknown.
 
-if(NOT DEFINED DRIVER OR NOT DEFINED WORK_DIR)
-  message(FATAL_ERROR "DRIVER and WORK_DIR must be defined")
+if(NOT DEFINED DRIVER OR NOT DEFINED SERVE OR NOT DEFINED WORK_DIR)
+  message(FATAL_ERROR "DRIVER, SERVE and WORK_DIR must be defined")
 endif()
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -51,6 +53,42 @@ expect_run(bad_constants_out nonzero "cannot write"
 
 # Unknown options still fail loudly.
 expect_run(unknown_option nonzero "unknown option" "--bogus" "${GOOD_MF}")
+
+# The forked-shard modes are gone; their flags are unknown options.
+foreach(FLAG --shards=2 --shard-worker --shard-in=job --shard-out=result)
+  expect_run(removed_${FLAG} nonzero "unknown option" "${FLAG}" "${GOOD_MF}")
+endforeach()
+
+# So are the serve router's. stdin is a file, so a server that wrongly
+# accepted one would answer it and exit 0 instead of hanging.
+foreach(FLAG --router --backend=127.0.0.1:1 --spawn-backends=2
+             --forward-threads=2)
+  execute_process(COMMAND ${SERVE} ${FLAG}
+                  INPUT_FILE "${GOOD_MF}"
+                  RESULT_VARIABLE RC
+                  OUTPUT_QUIET
+                  ERROR_VARIABLE ERR)
+  if(RC EQUAL 0 OR NOT ERR MATCHES "unknown option")
+    set(FAILURES "${FAILURES}\nserve ${FLAG}: expected an unknown-option failure, got rc=${RC}: ${ERR}")
+  endif()
+endforeach()
+
+# A jump-function summary written by --summary-out and read back by
+# --summary-in reproduces the local report.
+set(SUMMARY "${WORK_DIR}/good.summary.json")
+expect_run(summary_out zero "wrote summary" "--summary-out=${SUMMARY}"
+           "--stats" "${GOOD_MF}")
+expect_run(summary_local zero "" "--stats" "${GOOD_MF}")
+set(LOCAL_REPORT "${LAST_STDOUT}")
+expect_run(summary_in zero "" "--summary-in=${SUMMARY}" "--stats"
+           "${GOOD_MF}")
+if(NOT LAST_STDOUT STREQUAL LOCAL_REPORT)
+  set(FAILURES "${FAILURES}\nsummary_in: report differs from local mode")
+endif()
+expect_run(summary_both nonzero "mutually exclusive"
+           "--summary-out=${SUMMARY}" "--summary-in=${SUMMARY}" "${GOOD_MF}")
+expect_run(summary_complete nonzero "no reusable"
+           "--summary-in=${SUMMARY}" "--complete" "${GOOD_MF}")
 
 # --run executes the program and prints its trace.
 expect_run(run_trace zero "ok" "--run" "${GOOD_MF}")

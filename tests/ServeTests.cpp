@@ -7,7 +7,8 @@
 /// \file
 /// The check-serve suite: protocol goldens, the session cache and
 /// request coalescing, deadline cancellation, overload shedding,
-/// graceful drain, the TCP transport round trip, and the differential
+/// graceful drain, the TCP transport round trip and connection-thread
+/// reaping under connection churn, and the differential
 /// test pinning --server-url output byte-identical to local ipcp-driver
 /// output.
 ///
@@ -632,6 +633,64 @@ TEST(ServeTransport, TcpRoundTrip) {
   Listener.stop();
   Accept.join();
   S.shutdown();
+}
+
+namespace {
+
+/// Mappings in this process's address space. Each connection thread
+/// that is never joined pins its stack and guard page: two mappings.
+size_t countMappings() {
+  FILE *F = std::fopen("/proc/self/maps", "r");
+  if (!F)
+    return 0;
+  size_t Lines = 0;
+  for (int C; (C = std::fgetc(F)) != EOF;)
+    Lines += C == '\n';
+  std::fclose(F);
+  return Lines;
+}
+
+} // namespace
+
+// A long-lived server sees an unbounded number of short connections.
+// Finished connection threads must be reaped while the accept loop runs:
+// if they are joined only at shutdown, each one keeps its stack mapped
+// and thread creation fails once vm.max_map_count is reached (~32k
+// connections), which aborts the server.
+TEST(ServeTransport, ConnectionChurnDoesNotRetainThreads) {
+  if (countMappings() == 0)
+    GTEST_SKIP() << "/proc/self/maps is not readable here";
+  Server S({.Workers = 2});
+  TcpListener Listener;
+  std::string Error;
+  if (!Listener.listen(0, Error))
+    GTEST_SKIP() << "cannot bind a loopback socket here: " << Error;
+  std::thread Accept([&] { Listener.run(S); });
+  std::string Url = "127.0.0.1:" + std::to_string(Listener.port());
+
+  auto churn = [&](unsigned Connections) {
+    for (unsigned I = 0; I != Connections; ++I) {
+      ServeClient Client;
+      std::string Reply;
+      ASSERT_TRUE(Client.connect(Url, Error)) << Error;
+      ASSERT_TRUE(Client.call("{\"id\":\"s\",\"method\":\"stats\"}", Reply,
+                              Error))
+          << Error;
+      EXPECT_TRUE(parsedOk(Reply).boolOr("ok", false));
+    }
+  };
+  churn(16); // Warm up allocator arenas and the thread-stack cache.
+  size_t Before = countMappings();
+  churn(400);
+  size_t After = countMappings();
+
+  Listener.stop();
+  Accept.join();
+  S.shutdown();
+  // Retained threads would add ~800 mappings; allow for a few threads
+  // still finishing when the count is taken.
+  EXPECT_LT(After, Before + 64) << "mappings grew from " << Before << " to "
+                                << After << " over 400 connections";
 }
 
 //===----------------------------------------------------------------------===//

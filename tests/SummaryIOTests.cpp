@@ -7,9 +7,9 @@
 /// \file
 /// The summary serialization contract: fingerprints and whole summaries
 /// round-trip byte-identically, a reconstituted summary solves exactly
-/// like a same-process build, partial summaries merge seamlessly, and
-/// every malformed input — truncation, version skew, garbage, bad
-/// partitions — fails loudly with a diagnostic.
+/// like a same-process build, and every malformed input — truncation,
+/// version skew, garbage, partial summaries — fails loudly with a
+/// diagnostic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -281,39 +281,6 @@ TEST(SummaryIO, ReconstitutedSolveMatchesDirectSolve) {
   }
 }
 
-TEST(SummaryIO, MergedPartialsMatchFullSummaryByteForByte) {
-  SessionFixture F(RichSource);
-  JumpFunctionOptions Opts;
-  ProgramSummary Full = F.summary(Opts);
-  std::string FullBytes = serializeSummary(Full);
-
-  // One part per procedure, shuffled, serialized and reloaded — the
-  // worker-to-coordinator path.
-  const Module &M = F.Session->module();
-  const CallGraph &CG = F.Session->callGraph();
-  ProgramJumpFunctions Jfs = buildJumpFunctions(
-      M, F.Symbols, CG, F.Session->modRef(true), Opts,
-      &F.Session->refAlias(true), nullptr, F.Session.get());
-  std::vector<ProgramSummary> Parts;
-  std::vector<ProcId> Order = {2, 0, 1};
-  for (ProcId P : Order) {
-    ProgramSummary Part =
-        makeSummary("test", summarySourceHash(F.Source), M, F.Symbols, CG,
-                    Jfs, &F.Session->refAlias(true), {P});
-    std::string Bytes = serializeSummary(Part);
-    ProgramSummary Reloaded;
-    std::string Error;
-    ASSERT_TRUE(parseSummary(Bytes, Reloaded, Error)) << Error;
-    EXPECT_FALSE(Reloaded.complete());
-    Parts.push_back(std::move(Reloaded));
-  }
-
-  ProgramSummary Merged;
-  std::string Error;
-  ASSERT_TRUE(mergeSummaries(std::move(Parts), Merged, Error)) << Error;
-  EXPECT_EQ(serializeSummary(Merged), FullBytes);
-}
-
 //===----------------------------------------------------------------------===//
 // Malformed-input hardening
 //===----------------------------------------------------------------------===//
@@ -527,86 +494,17 @@ TEST(SummaryIO, ParseCatchesContentCorruptionThroughStats) {
   EXPECT_FALSE(Error.empty());
 }
 
-TEST(SummaryIO, MergeRejectsBadPartitions) {
-  SessionFixture F(RichSource);
-  JumpFunctionOptions Opts;
-  const Module &M = F.Session->module();
-  const CallGraph &CG = F.Session->callGraph();
-  ProgramJumpFunctions Jfs = buildJumpFunctions(
-      M, F.Symbols, CG, F.Session->modRef(true), Opts,
-      &F.Session->refAlias(true), nullptr, F.Session.get());
-  auto Part = [&](std::vector<ProcId> Procs) {
-    return makeSummary("test", summarySourceHash(F.Source), M, F.Symbols, CG,
-                       Jfs, &F.Session->refAlias(true), std::move(Procs));
-  };
-
-  ProgramSummary Out;
-  std::string Error;
-
-  // Overlap.
-  {
-    std::vector<ProgramSummary> Parts;
-    Parts.push_back(Part({0, 1}));
-    Parts.push_back(Part({1, 2}));
-    EXPECT_FALSE(mergeSummaries(std::move(Parts), Out, Error));
-    EXPECT_NE(Error.find("overlap"), std::string::npos) << Error;
-  }
-  // Gap.
-  {
-    std::vector<ProgramSummary> Parts;
-    Parts.push_back(Part({0}));
-    Parts.push_back(Part({2}));
-    EXPECT_FALSE(mergeSummaries(std::move(Parts), Out, Error));
-    EXPECT_NE(Error.find("gap"), std::string::npos) << Error;
-  }
-  // Configuration skew.
-  {
-    std::vector<ProgramSummary> Parts;
-    Parts.push_back(Part({0, 1}));
-    Parts.push_back(Part({2}));
-    Parts.back().Options.Kind = JumpFunctionKind::Literal;
-    EXPECT_FALSE(mergeSummaries(std::move(Parts), Out, Error));
-    EXPECT_NE(Error.find("configuration"), std::string::npos) << Error;
-  }
-  // Source skew.
-  {
-    std::vector<ProgramSummary> Parts;
-    Parts.push_back(Part({0, 1}));
-    Parts.push_back(Part({2}));
-    Parts.back().SourceHash ^= 1;
-    EXPECT_FALSE(mergeSummaries(std::move(Parts), Out, Error));
-    EXPECT_NE(Error.find("source"), std::string::npos) << Error;
-  }
-  // Empty.
-  {
-    EXPECT_FALSE(mergeSummaries({}, Out, Error));
-    EXPECT_FALSE(Error.empty());
-  }
-  // And the happy path still works after all that.
-  {
-    std::vector<ProgramSummary> Parts;
-    Parts.push_back(Part({1}));
-    Parts.push_back(Part({0, 2}));
-    EXPECT_TRUE(mergeSummaries(std::move(Parts), Out, Error)) << Error;
-    EXPECT_TRUE(Out.complete());
-  }
-}
-
 TEST(SummaryIO, ReconstituteValidatesAgainstLoadedProgram) {
   SessionFixture F(RichSource);
   JumpFunctionOptions Opts;
   ProgramSummary S = F.summary(Opts);
 
-  // Partial summaries must be merged first.
+  // A partial summary (the grammar admits one) is refused.
   {
     const Module &M = F.Session->module();
     const CallGraph &CG = F.Session->callGraph();
-    ProgramJumpFunctions Jfs = buildJumpFunctions(
-        M, F.Symbols, CG, F.Session->modRef(true), Opts,
-        &F.Session->refAlias(true), nullptr, F.Session.get());
-    ProgramSummary Partial =
-        makeSummary("test", summarySourceHash(F.Source), M, F.Symbols, CG,
-                    Jfs, &F.Session->refAlias(true), {0});
+    ProgramSummary Partial = F.summary(Opts);
+    Partial.Procs.resize(1);
     ProgramJumpFunctions Out;
     std::string Error;
     EXPECT_FALSE(reconstituteJumpFunctions(Partial, M, F.Symbols, CG, Out,

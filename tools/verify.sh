@@ -22,23 +22,17 @@
 #   * the copy-lattice wall (`ctest -L check-copy`: CONSTANTS inclusion
 #     of the classic analysis in the copy tier over the extended suite
 #     and a 200-seed relay sweep, oracle-validated recoveries, strict
-#     per-family gains, toggle-off identity),
-#   * the distributed tier (`ctest -L check-dist`: sharded-vs-single
-#     byte-identity at the full grid and 30 random seeds, worker-crash
-#     reassignment, shard-file hardening, and the router wall —
-#     forwarding identity, backend-death rehash, all-down overload,
-#     shutdown races), and
+#     per-family gains, toggle-off identity), and
 #   * the bench smokes (`ctest -L check-bench`: cold-vs-warm suite,
-#     server throughput, the distributed tier, and the
-#     VM-vs-interpreter >=10x gate — the gate is relaxed under
-#     sanitizer presets, which tax the two engines unevenly).
+#     server throughput, and the VM-vs-interpreter >=10x gate — the
+#     gate is relaxed under sanitizer presets, which tax the two
+#     engines unevenly).
 #
 # Under the default preset only, also runs the full (non-smoke) memo and
 # cold-path bench gates: the suite bench's >=0.3 solver-memo hit-rate and
-# >=2x warm-speedup gates, the serve bench's >=2x hot-vs-cold and
-# byte-identity gates, and the distributed bench's identity +
-# hardware-conditional speedup gates. Sanitizer presets skip these —
-# wall-clock gates are meaningless under instrumentation.
+# >=2x warm-speedup gates, and the serve bench's >=2x hot-vs-cold and
+# byte-identity gates. Sanitizer presets skip these — wall-clock gates
+# are meaningless under instrumentation.
 #
 # When gcov is available, finishes with a small instrumented (cov
 # preset) check-fuzz run and prints the line-coverage summary the
@@ -49,13 +43,10 @@
 #             coverage pass)
 #   --tsan    also build the 'tsan' preset and run the tier-1,
 #             check-copy, check-serve, and check-vm suites plus the VM
-#             bench smoke
-#             under ThreadSanitizer, with explicit passes over the
-#             session-shared solver-memo tests (the value-context memo
-#             is shared state reachable from pool workers) and the
-#             router tests (concurrent forwards, backend death, and the
-#             shutdown/traffic/kill race exercise the lock-free
-#             teardown) (opt-in: the TSan rebuild roughly doubles the
+#             bench smoke under ThreadSanitizer, with an explicit pass
+#             over the session-shared solver-memo tests (the
+#             value-context memo is shared state reachable from pool
+#             workers) (opt-in: the TSan rebuild roughly doubles the
 #             sweep)
 #
 #===----------------------------------------------------------------------===//
@@ -88,7 +79,7 @@ for preset in "${PRESETS[@]}"; do
 
   echo "==== [$preset] tier-1 tests ===="
   ctest --test-dir "$builddir" \
-        -LE "check-oracle|check-bench|check-fuzz|check-serve|check-vm|check-dist|check-precision|check-copy" \
+        -LE "check-oracle|check-bench|check-fuzz|check-serve|check-vm|check-precision|check-copy" \
         --output-on-failure -j "$JOBS"
 
   echo "==== [$preset] oracle fuzz (check-oracle) ===="
@@ -103,9 +94,6 @@ for preset in "${PRESETS[@]}"; do
   echo "==== [$preset] engine differential (check-vm) ===="
   ctest --test-dir "$builddir" -L check-vm --output-on-failure -j "$JOBS"
 
-  echo "==== [$preset] distributed tier (check-dist) ===="
-  ctest --test-dir "$builddir" -L check-dist --output-on-failure -j "$JOBS"
-
   echo "==== [$preset] precision wall (check-precision) ===="
   ctest --test-dir "$builddir" -L check-precision --output-on-failure -j "$JOBS"
 
@@ -119,7 +107,6 @@ for preset in "${PRESETS[@]}"; do
     echo "==== [default] full memo/cold-path bench gates ===="
     ./build/bench/incremental_speedup --json=build/BENCH_suite.json
     ./build/bench/serve_throughput --json=build/BENCH_serve.json
-    ./build/bench/dist_speedup --json=build/BENCH_dist.json
   fi
 done
 
@@ -130,7 +117,7 @@ if [[ "$RUN_TSAN" == "1" ]]; then
 
   echo "==== [tsan] tier-1 tests ===="
   ctest --test-dir build-tsan \
-        -LE "check-oracle|check-bench|check-fuzz|check-serve|check-vm|check-dist|check-precision|check-copy" \
+        -LE "check-oracle|check-bench|check-fuzz|check-serve|check-vm|check-precision|check-copy" \
         --output-on-failure -j "$JOBS"
 
   echo "==== [tsan] copy-lattice wall (check-copy) ===="
@@ -145,10 +132,6 @@ if [[ "$RUN_TSAN" == "1" ]]; then
 
   echo "==== [tsan] engine differential (check-vm) ===="
   ctest --test-dir build-tsan -L check-vm --output-on-failure -j "$JOBS"
-
-  echo "==== [tsan] router: death, rehash, shutdown races ===="
-  ctest --test-dir build-tsan -R '^Router(Fleet)?\.' --no-tests=error \
-        --output-on-failure -j "$JOBS"
 
   echo "==== [tsan] vm throughput smoke (relaxed gate) ===="
   ctest --test-dir build-tsan -R vm_throughput_smoke --output-on-failure
