@@ -19,14 +19,17 @@
 
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <ostream>
+#include <utility>
 
 using namespace ipcp;
 
 const std::vector<FuzzConfig> &ipcp::fuzzConfigs() {
   static const std::vector<FuzzConfig> Configs = [] {
     std::vector<FuzzConfig> C;
-    // Index 0 is the reference point of every hierarchy comparison.
+    // Index 0 is the reference the other configs are compared against
+    // (HierarchyPairs, strategy agreement).
     C.push_back({"poly", PipelineOptions()});
     {
       PipelineOptions O;
@@ -81,6 +84,19 @@ const std::vector<FuzzConfig> &ipcp::fuzzConfigs() {
 }
 
 namespace {
+
+/// The (weaker, stronger) configuration pairs whose CONSTANTS sets must
+/// nest, checked in order: literal and pass-through without MOD know no
+/// more than polynomial; gated SSA, flow-sensitive aliasing, optimistic
+/// numbering and the copy lattice each refine it; and the copy lattice
+/// only upgrades loads that were BOTTOM classically, so the pass-through
+/// copy config's sets sit inside poly-copy's (polynomial refines
+/// pass-through).
+constexpr std::pair<const char *, const char *> HierarchyPairs[] = {
+    {"literal", "poly"},    {"pass-nomod", "poly"}, {"poly", "poly-gsa"},
+    {"poly", "poly-fsa"},   {"poly", "poly-ogvn"},  {"poly", "poly-copy"},
+    {"copy", "poly-copy"},
+};
 
 FuzzFailure makeFailure(std::string Kind, std::string Config,
                         std::string Detail, const std::string &Source) {
@@ -142,55 +158,36 @@ std::optional<FuzzFailure>
 ipcp::evaluateProgram(const std::string &Source, FuzzFeedback &FB,
                       const FuzzOptions &Opts) {
   const std::vector<FuzzConfig> &Configs = fuzzConfigs();
-  std::vector<PipelineResult> Results;
-  Results.reserve(Configs.size());
+  std::map<std::string, PipelineResult, std::less<>> Results;
   for (const FuzzConfig &Cfg : Configs) {
     PipelineOptions PO = Cfg.Pipeline;
     PO.Feedback = &FB;
     PipelineResult R = runPipeline(Source, PO);
     if (!R.Ok)
       return makeFailure("pipeline-error", Cfg.Name, R.Error, Source);
-    Results.push_back(std::move(R));
+    Results.emplace(Cfg.Name, std::move(R));
   }
 
-  // Cross-config hierarchy, in its sound set-inclusion form: a weaker
-  // configuration's CONSTANTS sets are contained in polynomial's, and
-  // polynomial's in each refining configuration's — gated SSA,
-  // flow-sensitive aliasing, and optimistic numbering. (Substituted
-  // counts are NOT compared — see constantsSubset.) Complete propagation
-  // that folded nothing must agree with the plain run exactly.
+  // Cross-config hierarchy, in its sound set-inclusion form (see
+  // HierarchyPairs). Complete propagation that folded nothing must agree
+  // with the plain run exactly.
   std::string Witness;
-  auto Violation = [&](size_t I, const char *Rel) {
-    return makeFailure("hierarchy-violation",
-                       Configs[I].Name + Rel + Configs[0].Name,
-                       "CONSTANTS entry not contained: " + Witness, Source);
-  };
-  if (!constantsSubset(Results[1], Results[0], Witness))
-    return Violation(1, "<=");
-  if (!constantsSubset(Results[2], Results[0], Witness))
-    return Violation(2, "<=");
-  if (!constantsSubset(Results[0], Results[5], Witness))
-    return Violation(5, ">=");
-  if (!constantsSubset(Results[0], Results[6], Witness))
-    return Violation(6, ">=");
-  if (!constantsSubset(Results[0], Results[7], Witness))
-    return Violation(7, ">=");
-  // The copy lattice only upgrades loads that were BOTTOM classically,
-  // so poly's sets are contained in poly-copy's, and the pass-through
-  // copy config's sets in poly-copy's (polynomial refines pass-through).
-  if (!constantsSubset(Results[0], Results[8], Witness))
-    return Violation(8, ">=");
-  if (!constantsSubset(Results[9], Results[8], Witness))
-    return makeFailure("hierarchy-violation",
-                       Configs[9].Name + "<=" + Configs[8].Name,
-                       "CONSTANTS entry not contained: " + Witness, Source);
-  if (Results[3].FoldedBranches == 0 &&
-      Results[3].SubstitutedConstants != Results[0].SubstitutedConstants)
+  for (const auto &[Weak, Strong] : HierarchyPairs)
+    if (!constantsSubset(Results.at(Weak), Results.at(Strong), Witness))
+      return makeFailure("hierarchy-violation",
+                         Weak == Configs[0].Name
+                             ? std::string(Strong) + ">=" + Weak
+                             : std::string(Weak) + "<=" + Strong,
+                         "CONSTANTS entry not contained: " + Witness, Source);
+  const PipelineResult &Complete = Results.at("poly-complete");
+  const PipelineResult &Poly = Results.at("poly");
+  if (Complete.FoldedBranches == 0 &&
+      Complete.SubstitutedConstants != Poly.SubstitutedConstants)
     return makeFailure(
         "hierarchy-violation", "poly-complete==poly",
         "complete propagation folded nothing yet counted " +
-            std::to_string(Results[3].SubstitutedConstants) + " vs " +
-            std::to_string(Results[0].SubstitutedConstants),
+            std::to_string(Complete.SubstitutedConstants) + " vs " +
+            std::to_string(Poly.SubstitutedConstants),
         Source);
 
   // Solver strategies are alternative fixpoint schedules over the same
@@ -200,7 +197,7 @@ ipcp::evaluateProgram(const std::string &Source, FuzzFeedback &FB,
     PipelineOptions PO = Configs[0].Pipeline;
     PO.Strategy = S;
     PipelineResult R = runPipeline(Source, PO);
-    if (!R.Ok || !sameAnalysis(Results[0], R))
+    if (!R.Ok || !sameAnalysis(Poly, R))
       return makeFailure(
           "strategy-disagreement",
           S == SolverStrategy::RoundRobin ? "round-robin" : "binding-graph",

@@ -6,6 +6,7 @@
 
 #include "ipcp/AnalysisSession.h"
 
+#include "ipcp/AnalysisConfig.h"
 #include "ir/CfgBuilder.h"
 
 #include <cassert>
@@ -14,7 +15,8 @@ using namespace ipcp;
 
 AnalysisSession::AnalysisSession(AstContext &Ctx, const SymbolTable &Symbols)
     : Ctx(Ctx), Symbols(Symbols), NumProcs(Ctx.program().Procs.size()),
-      SsaSlots(std::make_unique<SsaSlot[]>(NumProcs * 2)) {}
+      SsaSlots(std::make_unique<SsaSlot[]>(NumProcs * 2)),
+      JfBases(size_t(1) << NumJumpFunctionFlags) {}
 
 AnalysisSession::~AnalysisSession() = default;
 
@@ -142,12 +144,7 @@ const AnalysisSession::SsaBundle &AnalysisSession::ssa(ProcId P,
 const AnalysisSession::JfBase &
 AnalysisSession::jfBase(const JumpFunctionOptions &Opts,
                         const std::function<void(JfBase &)> &Build) {
-  unsigned Key = (Opts.UseMod ? 32u : 0u) |
-                 (Opts.UseReturnJumpFunctions ? 16u : 0u) |
-                 (Opts.UseGatedSsa ? 8u : 0u) |
-                 (Opts.FlowSensitiveAlias ? 4u : 0u) |
-                 (Opts.OptimisticVn ? 2u : 0u) |
-                 (Opts.CopyPropagation ? 1u : 0u);
+  unsigned Key = jumpFunctionFlagBits(Opts);
   std::lock_guard<std::mutex> Lock(JfMutex);
   auto &Slot = JfBases[Key];
   if (!Slot) {

@@ -493,6 +493,17 @@ void foldStats(JumpFunctionStats &Into, const JumpFunctionStats &S) {
 
 } // namespace
 
+ProgramJumpFunctions ipcp::buildJumpFunctions(AnalysisSession &Session,
+                                              const JumpFunctionOptions &Opts,
+                                              ThreadPool *Pool) {
+  bool Mod = Opts.UseMod;
+  return buildJumpFunctions(
+      Session.module(), Session.symbols(), Session.callGraph(),
+      Session.modRef(Mod), Opts, &Session.refAlias(Mod), Pool, &Session,
+      Opts.FlowSensitiveAlias ? &Session.flowAlias(Mod) : nullptr,
+      Opts.CopyPropagation ? &Session.copyProp(Mod) : nullptr);
+}
+
 ProgramJumpFunctions ipcp::buildJumpFunctions(
     const Module &M, const SymbolTable &Symbols, const CallGraph &CG,
     const ModRefInfo *MRI, const JumpFunctionOptions &Opts,

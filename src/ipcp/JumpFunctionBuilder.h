@@ -77,6 +77,9 @@ struct JumpFunctionOptions {
   /// functions carry the recovered facts as Form::Copy / Copy leaves.
   /// Strictly refines every kind above IntraConst; byte-identical off.
   bool CopyPropagation = false;
+
+  /// True when the two configurations build identical jump functions.
+  bool operator==(const JumpFunctionOptions &) const = default;
 };
 
 /// Aggregate statistics over one generation run (feeds the §3.1.5 cost
@@ -168,8 +171,8 @@ public:
 /// not depend on the forward jump-function Kind: SSA comes from the
 /// session's per-procedure cache, and the stage-1 return jump functions
 /// plus the value numberings built along the way are computed once per
-/// (UseMod, UseReturnJumpFunctions, UseGatedSsa, FlowSensitiveAlias,
-/// OptimisticVn) and reused by every later configuration — stage 2 only
+/// setting of the boolean jump-function options (AnalysisSession::jfBase)
+/// and reused by every later configuration — stage 2 only
 /// rebuilds the numbering of recursive procedures, whose stage-1
 /// numbering saw an incomplete view of their SCC's return jump
 /// functions. The result is byte-identical to the session-less build.
@@ -187,6 +190,13 @@ ProgramJumpFunctions buildJumpFunctions(const Module &M,
                                             nullptr,
                                         const CopyPropInfo *CopyFacts =
                                             nullptr);
+
+/// buildJumpFunctions over \p Session's cached MOD, alias and copy facts
+/// for \p Opts, wired as the pipeline wires them — for callers that need
+/// only the jump functions (summaries, the driver's --dump-jf).
+ProgramJumpFunctions buildJumpFunctions(AnalysisSession &Session,
+                                        const JumpFunctionOptions &Opts,
+                                        ThreadPool *Pool = nullptr);
 
 /// Partitions \p Order (a serial processing order over procedures) into
 /// waves such that running each wave's members concurrently, with a

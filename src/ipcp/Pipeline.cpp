@@ -174,15 +174,7 @@ ipcp::runPipelineOnSession(AnalysisSession &Session,
       if (PreloadedJfs) {
         ActiveJfs = PreloadedJfs;
       } else {
-        JumpFunctionOptions JfOpts;
-        JfOpts.Kind = Opts.Kind;
-        JfOpts.UseReturnJumpFunctions = Opts.UseReturnJumpFunctions;
-        JfOpts.UseMod = Opts.UseMod;
-        JfOpts.UseGatedSsa = Opts.UseGatedSsa;
-        JfOpts.FlowSensitiveAlias = Opts.FlowSensitiveAlias;
-        JfOpts.OptimisticVn = Opts.OptimisticVn;
-        JfOpts.CopyPropagation = Opts.CopyPropagation;
-        Jfs = buildJumpFunctions(M, Symbols, CG, MRI, JfOpts, &Aliases, Pool,
+        Jfs = buildJumpFunctions(M, Symbols, CG, MRI, Opts, &Aliases, Pool,
                                  &Session, FlowAliases, CopyFacts);
       }
       Result.Timings.JumpFunctionsMs += lapMs(Phase);

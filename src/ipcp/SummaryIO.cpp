@@ -6,6 +6,7 @@
 
 #include "ipcp/SummaryIO.h"
 
+#include "ipcp/AnalysisConfig.h"
 #include "ipcp/AnalysisSession.h"
 #include "serve/Json.h"
 
@@ -24,51 +25,7 @@ uint64_t ipcp::summarySourceHash(std::string_view Source) {
   return H;
 }
 
-bool ipcp::sameJumpFunctionOptions(const JumpFunctionOptions &A,
-                                   const JumpFunctionOptions &B) {
-  return A.Kind == B.Kind &&
-         A.UseReturnJumpFunctions == B.UseReturnJumpFunctions &&
-         A.UseMod == B.UseMod && A.UseGatedSsa == B.UseGatedSsa &&
-         A.FlowSensitiveAlias == B.FlowSensitiveAlias &&
-         A.OptimisticVn == B.OptimisticVn &&
-         A.CopyPropagation == B.CopyPropagation;
-}
-
-const char *ipcp::jumpFunctionKindToken(JumpFunctionKind K) {
-  switch (K) {
-  case JumpFunctionKind::Literal:
-    return "literal";
-  case JumpFunctionKind::IntraConst:
-    return "intra";
-  case JumpFunctionKind::PassThrough:
-    return "pass";
-  case JumpFunctionKind::Polynomial:
-    return "poly";
-  }
-  return "?";
-}
-
-bool ipcp::parseJumpFunctionKindToken(const std::string &Token,
-                                      JumpFunctionKind &Out) {
-  for (JumpFunctionKind K :
-       {JumpFunctionKind::Literal, JumpFunctionKind::IntraConst,
-        JumpFunctionKind::PassThrough, JumpFunctionKind::Polynomial})
-    if (Token == jumpFunctionKindToken(K)) {
-      Out = K;
-      return true;
-    }
-  return false;
-}
-
 namespace {
-
-const char *kindToken(JumpFunctionKind K) {
-  return jumpFunctionKindToken(K);
-}
-
-bool parseKindToken(const std::string &S, JumpFunctionKind &Out) {
-  return parseJumpFunctionKindToken(S, Out);
-}
 
 std::string hex64(uint64_t V) {
   char Buf[17];
@@ -154,50 +111,6 @@ bool checkKeys(const JsonValue &Obj, std::initializer_list<const char *> Keys,
   return true;
 }
 
-/// checkKeys with an extra set of keys that may be absent. The precision
-/// flags ride on this: a pre-precision (v1-layout) summary omits them and
-/// parses to the defaults, a precision-era summary spells them out, and
-/// any *other* unknown field still rejects.
-bool checkKeysOpt(const JsonValue &Obj,
-                  std::initializer_list<const char *> Required,
-                  std::initializer_list<const char *> Optional,
-                  const char *What, std::string &Error) {
-  for (const auto &[K, V] : Obj.members()) {
-    (void)V;
-    auto Known = [&](std::initializer_list<const char *> Keys) {
-      return std::find_if(Keys.begin(), Keys.end(), [&](const char *Want) {
-               return K == Want;
-             }) != Keys.end();
-    };
-    if (!Known(Required) && !Known(Optional)) {
-      Error = std::string("unknown ") + What + " field '" + K + "'";
-      return false;
-    }
-  }
-  for (const char *Want : Required)
-    if (!Obj.find(Want)) {
-      Error = std::string("missing ") + What + " field '" + Want + "'";
-      return false;
-    }
-  return true;
-}
-
-/// Reads an optional boolean member, defaulting to false when absent.
-bool parseOptBool(const JsonValue &Obj, const char *Key, bool &Out,
-                  const char *What, std::string &Error) {
-  const JsonValue *B = Obj.find(Key);
-  if (!B) {
-    Out = false;
-    return true;
-  }
-  if (!B->isBool()) {
-    Error = std::string(What) + "." + Key + " must be a boolean";
-    return false;
-  }
-  Out = B->boolean();
-  return true;
-}
-
 bool parseJf(const JsonValue &V, JumpFunction &Out, const char *What,
              std::string &Error) {
   if (!V.isString()) {
@@ -255,20 +168,9 @@ std::string ipcp::serializeSummary(const ProgramSummary &S) {
   Doc.set("program", S.Program);
   Doc.set("source_fnv", hex64(S.SourceHash));
 
-  JsonValue Cfg = JsonValue::object();
-  Cfg.set("jf", kindToken(S.Options.Kind));
-  Cfg.set("rjf", JsonValue(S.Options.UseReturnJumpFunctions));
-  Cfg.set("mod", JsonValue(S.Options.UseMod));
-  Cfg.set("gsa", JsonValue(S.Options.UseGatedSsa));
-  // Precision flags are elided at their defaults so summaries of
-  // pre-precision configurations stay byte-identical to the v1 layout.
-  if (S.Options.FlowSensitiveAlias)
-    Cfg.set("fsa", JsonValue(true));
-  if (S.Options.OptimisticVn)
-    Cfg.set("ogvn", JsonValue(true));
-  if (S.Options.CopyPropagation)
-    Cfg.set("copy", JsonValue(true));
-  Doc.set("config", std::move(Cfg));
+  PipelineOptions Cfg;
+  static_cast<JumpFunctionOptions &>(Cfg) = S.Options;
+  Doc.set("config", configToJson(Cfg, ConfigSurface::Summary));
 
   Doc.set("num_procs", uint64_t(S.NumProcs));
   Doc.set("num_globals", uint64_t(S.NumGlobals));
@@ -361,29 +263,10 @@ bool ipcp::parseSummary(std::string_view Text, ProgramSummary &Out,
     Error = "summary 'config' must be an object";
     return false;
   }
-  if (!checkKeysOpt(*Cfg, {"jf", "rjf", "mod", "gsa"},
-                    {"fsa", "ogvn", "copy"}, "config", Error))
+  PipelineOptions Parsed;
+  if (!configFromJson(*Cfg, ConfigSurface::Summary, Parsed, Error))
     return false;
-  const JsonValue *Jf = Cfg->find("jf");
-  if (!Jf->isString() || !parseKindToken(Jf->str(), S.Options.Kind)) {
-    Error = "config.jf must be literal|intra|pass|poly";
-    return false;
-  }
-  for (const char *Key : {"rjf", "mod", "gsa"}) {
-    const JsonValue *B = Cfg->find(Key);
-    if (!B->isBool()) {
-      Error = std::string("config.") + Key + " must be a boolean";
-      return false;
-    }
-  }
-  S.Options.UseReturnJumpFunctions = Cfg->find("rjf")->boolean();
-  S.Options.UseMod = Cfg->find("mod")->boolean();
-  S.Options.UseGatedSsa = Cfg->find("gsa")->boolean();
-  if (!parseOptBool(*Cfg, "fsa", S.Options.FlowSensitiveAlias, "config",
-                    Error) ||
-      !parseOptBool(*Cfg, "ogvn", S.Options.OptimisticVn, "config", Error) ||
-      !parseOptBool(*Cfg, "copy", S.Options.CopyPropagation, "config", Error))
-    return false;
+  S.Options = Parsed;
 
   const JsonValue *NumProcs = Doc->find("num_procs");
   const JsonValue *NumGlobals = Doc->find("num_globals");
@@ -567,19 +450,10 @@ ProgramSummary ipcp::buildSummary(AnalysisSession &Session,
                                   const JumpFunctionOptions &Opts,
                                   std::string ProgramName, uint64_t SourceHash,
                                   ThreadPool *Pool) {
-  const Module &M = Session.module();
-  const CallGraph &CG = Session.callGraph();
-  const ModRefInfo *MRI = Session.modRef(Opts.UseMod);
-  const RefAliasInfo &Aliases = Session.refAlias(Opts.UseMod);
-  const FlowAliasInfo *FlowAliases =
-      Opts.FlowSensitiveAlias ? &Session.flowAlias(Opts.UseMod) : nullptr;
-  const CopyPropInfo *CopyFacts =
-      Opts.CopyPropagation ? &Session.copyProp(Opts.UseMod) : nullptr;
-  ProgramJumpFunctions Jfs =
-      buildJumpFunctions(M, Session.symbols(), CG, MRI, Opts, &Aliases, Pool,
-                         &Session, FlowAliases, CopyFacts);
-  return makeSummary(std::move(ProgramName), SourceHash, M, Session.symbols(),
-                     CG, Jfs, Aliases);
+  ProgramJumpFunctions Jfs = buildJumpFunctions(Session, Opts, Pool);
+  return makeSummary(std::move(ProgramName), SourceHash, Session.module(),
+                     Session.symbols(), Session.callGraph(), Jfs,
+                     Session.refAlias(Opts.UseMod));
 }
 
 bool ipcp::reconstituteJumpFunctions(const ProgramSummary &S, const Module &M,

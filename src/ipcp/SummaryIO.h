@@ -99,16 +99,6 @@ struct ProgramSummary {
 /// values are pinned — do not change the mixing.
 uint64_t summarySourceHash(std::string_view Source);
 
-/// Canonical token of a jump-function kind ("literal", "intra", "pass",
-/// "poly") in summary documents, and its inverse.
-const char *jumpFunctionKindToken(JumpFunctionKind K);
-bool parseJumpFunctionKindToken(const std::string &Token,
-                                JumpFunctionKind &Out);
-
-/// True when the two configurations build identical jump functions.
-bool sameJumpFunctionOptions(const JumpFunctionOptions &A,
-                             const JumpFunctionOptions &B);
-
 /// Statistics recomputed from a summary's content (deterministic in the
 /// content alone; serialized alongside it and checked on load as a
 /// structural checksum). Matches JumpFunctionStats' counting for the

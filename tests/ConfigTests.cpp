@@ -1,0 +1,186 @@
+//===- tests/ConfigTests.cpp - Analysis configuration surfaces ------------===//
+//
+// Part of the ipcp project (Grove & Torczon, PLDI 1993 reproduction).
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// Table-driven round trips over ipcp/AnalysisConfig.h: every flag row,
+/// jump-function kind and solver strategy, set alone, parses to the same
+/// PipelineOptions from the driver command line, a serve request line
+/// and (jump-function options only) a summary document; each surface
+/// re-serializes byte-identically; and the setting splits the reply-cache
+/// key and, for jump-function options, the session's jump-function base
+/// key from the default configuration.
+///
+//===----------------------------------------------------------------------===//
+
+#include "ipcp/AnalysisConfig.h"
+#include "ipcp/SummaryIO.h"
+#include "serve/Protocol.h"
+#include "serve/Render.h"
+
+#include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+#include <vector>
+
+using namespace ipcp;
+
+namespace {
+
+/// The driver arguments that select \p Opts: one per non-default field.
+std::vector<std::string> cliArgs(const PipelineOptions &Opts) {
+  const PipelineOptions Default;
+  std::vector<std::string> Args;
+  if (Opts.Kind != Default.Kind)
+    Args.push_back(std::string("--jf=") + jumpFunctionKindToken(Opts.Kind));
+  for (const AnalysisFlag &F : AnalysisFlags)
+    if (Opts.*F.Member != flagDefault(F))
+      Args.push_back(F.Cli);
+  if (Opts.Strategy != Default.Strategy)
+    Args.push_back(std::string("--") + solverStrategyToken(Opts.Strategy));
+  return Args;
+}
+
+PipelineOptions parseCli(const std::vector<std::string> &Args) {
+  PipelineOptions Opts;
+  std::string Error;
+  for (const std::string &Arg : Args)
+    EXPECT_EQ(parseConfigArg(Arg, Opts, Error), ConfigArg::Applied)
+        << Arg << ": " << Error;
+  return Opts;
+}
+
+std::string requestLine(const PipelineOptions &Opts) {
+  ServeRequest Req;
+  Req.Id = "cfg";
+  Req.Method = ServeMethod::AnalyzeSource;
+  Req.Source = "proc main()\nend\n";
+  Req.Config = Opts;
+  return serializeServeRequest(Req);
+}
+
+std::string summaryDoc(const JumpFunctionOptions &Opts) {
+  ProgramSummary S;
+  S.Program = "cfg";
+  S.Options = Opts;
+  return serializeSummary(S);
+}
+
+/// Checks every surface on \p Opts, a configuration that differs from
+/// the default in one field. \p InSummary: the field is a jump-function
+/// option. \p InJfBase: it also keys the session's jump-function base
+/// (every jump-function option but Kind, which the base is built
+/// without).
+void checkSurfaces(const PipelineOptions &Opts, bool InSummary,
+                   bool InJfBase, const std::string &What) {
+  SCOPED_TRACE(What);
+  const PipelineOptions Default;
+  const ReportOptions Report;
+
+  // Command line.
+  std::vector<std::string> Args = cliArgs(Opts);
+  ASSERT_EQ(Args.size(), 1u);
+  PipelineOptions FromCli = parseCli(Args);
+  EXPECT_EQ(FromCli, Opts);
+  EXPECT_EQ(cliArgs(FromCli), Args);
+
+  // Serve request line.
+  std::string Line = requestLine(Opts);
+  ServeRequest Back;
+  std::string Error;
+  ASSERT_TRUE(parseServeRequest(Line, Back, Error)) << Error;
+  EXPECT_EQ(Back.Config, Opts);
+  EXPECT_EQ(requestLine(Back.Config), Line);
+  EXPECT_NE(configKey(Opts, Report), configKey(Default, Report));
+
+  // Summary document: jump-function options travel in it; the others
+  // leave it untouched.
+  std::string Doc = summaryDoc(Opts);
+  ProgramSummary Parsed;
+  ASSERT_TRUE(parseSummary(Doc, Parsed, Error)) << Error;
+  EXPECT_EQ(summaryDoc(Parsed.Options), Doc);
+  if (InSummary) {
+    EXPECT_EQ(Parsed.Options,
+              static_cast<const JumpFunctionOptions &>(Opts));
+    EXPECT_NE(Doc, summaryDoc(Default));
+  } else {
+    EXPECT_EQ(Doc, summaryDoc(Default));
+  }
+  EXPECT_EQ(jumpFunctionFlagBits(Opts) != jumpFunctionFlagBits(Default),
+            InJfBase);
+}
+
+} // namespace
+
+TEST(AnalysisConfig, EveryFlagRoundTripsOnEverySurface) {
+  for (const AnalysisFlag &F : AnalysisFlags) {
+    PipelineOptions Opts;
+    Opts.*F.Member = !flagDefault(F);
+    checkSurfaces(Opts, F.JumpFunctionOption, F.JumpFunctionOption, F.Key);
+    PipelineResult Result;
+    EXPECT_NE(renderAnalysisReport(Opts, Result, ReportOptions()),
+              renderAnalysisReport(PipelineOptions(), Result, ReportOptions()))
+        << F.Key;
+  }
+}
+
+TEST(AnalysisConfig, EveryKindAndStrategyRoundTrips) {
+  for (JumpFunctionKind K :
+       {JumpFunctionKind::Literal, JumpFunctionKind::IntraConst,
+        JumpFunctionKind::PassThrough}) {
+    PipelineOptions Opts;
+    Opts.Kind = K;
+    checkSurfaces(Opts, /*InSummary=*/true, /*InJfBase=*/false,
+                  jumpFunctionKindToken(K));
+  }
+  for (SolverStrategy S :
+       {SolverStrategy::RoundRobin, SolverStrategy::BindingGraph}) {
+    PipelineOptions Opts;
+    Opts.Strategy = S;
+    checkSurfaces(Opts, /*InSummary=*/false, /*InJfBase=*/false,
+                  solverStrategyToken(S));
+  }
+}
+
+TEST(AnalysisConfig, DefaultsAreElidedOnlyWhereTheTableSays) {
+  std::string Line = requestLine(PipelineOptions());
+  std::string Doc = summaryDoc(JumpFunctionOptions());
+  for (const AnalysisFlag &F : AnalysisFlags) {
+    std::string Member = std::string("\"") + F.Key + "\":";
+    EXPECT_EQ(Line.find(Member) != std::string::npos, F.AlwaysWritten)
+        << F.Key;
+    EXPECT_EQ(Doc.find(Member) != std::string::npos,
+              F.AlwaysWritten && F.JumpFunctionOption)
+        << F.Key;
+  }
+}
+
+TEST(AnalysisConfig, SpellingsAreUnique) {
+  std::set<std::string> Keys, Clis;
+  for (const AnalysisFlag &F : AnalysisFlags) {
+    EXPECT_TRUE(Keys.insert(F.Key).second) << F.Key;
+    EXPECT_TRUE(Clis.insert(F.Cli).second) << F.Cli;
+  }
+  EXPECT_EQ(Keys.count("jf") + Keys.count("strategy"), 0u);
+}
+
+TEST(AnalysisConfig, RejectsBadSpellings) {
+  PipelineOptions Opts;
+  std::string Error;
+  EXPECT_EQ(parseConfigArg("--jf=cubic", Opts, Error), ConfigArg::Invalid);
+  EXPECT_EQ(Error, "unknown jump function kind 'cubic'");
+  EXPECT_EQ(parseConfigArg("--worklist", Opts, Error), ConfigArg::NotConfig);
+  EXPECT_EQ(parseConfigArg("--rjf", Opts, Error), ConfigArg::NotConfig);
+  EXPECT_EQ(Opts, PipelineOptions());
+
+  // A pipeline-only key is not part of the summary schema.
+  ProgramSummary S;
+  std::string Doc = summaryDoc(JumpFunctionOptions());
+  Doc.replace(Doc.find("\"gsa\""), 5, "\"complete\"");
+  EXPECT_FALSE(parseSummary(Doc, S, Error));
+  EXPECT_NE(Error.find("unknown config field 'complete'"), std::string::npos)
+      << Error;
+}

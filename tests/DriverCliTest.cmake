@@ -1,7 +1,9 @@
 # Driver CLI contract test, run via `cmake -P` (see tests/CMakeLists.txt).
 # Bad inputs must produce a diagnostic and a nonzero exit instead of
 # silently analyzing an empty program; --run/--validate and the summary
-# round trip must work; options that no longer exist, in ipcp-driver or
+# round trip must work; the --dump-* modes must agree with the analysis;
+# every analysis option must work with --dump-jf and survive the summary
+# round trip; options that no longer exist, in ipcp-driver or
 # ipcp-serve, must be rejected as unknown.
 
 if(NOT DEFINED DRIVER OR NOT DEFINED SERVE OR NOT DEFINED WORK_DIR)
@@ -89,6 +91,110 @@ expect_run(summary_both nonzero "mutually exclusive"
            "--summary-out=${SUMMARY}" "--summary-in=${SUMMARY}" "${GOOD_MF}")
 expect_run(summary_complete nonzero "no reusable"
            "--summary-in=${SUMMARY}" "--complete" "${GOOD_MF}")
+
+# The --dump-* modes show what the analysis works from. f's formal x is
+# bound to the global g, so the alias analysis makes both unknowable at
+# f's call of h: the summary (like the solver) stores bottom ("B") for
+# y and g there, and --dump-jf must print the same functions.
+set(ALIAS_MF "${WORK_DIR}/alias.mf")
+file(WRITE "${ALIAS_MF}" "global g
+
+proc main()
+  g = 85
+  call f(g)
+end
+
+proc f(x)
+  g = 3
+  call h(x)
+end
+
+proc h(y)
+  print y
+  print g
+end
+")
+set(ALIAS_SUMMARY "${WORK_DIR}/alias.summary.json")
+expect_run(alias_summary zero "wrote summary"
+           "--summary-out=${ALIAS_SUMMARY}" "${ALIAS_MF}")
+file(READ "${ALIAS_SUMMARY}" ALIAS_DOC)
+string(JSON DEFAULT_CONFIG GET "${ALIAS_DOC}" config)
+string(JSON F_NAME GET "${ALIAS_DOC}" procs 1 name)
+string(JSON F_ARG GET "${ALIAS_DOC}" procs 1 sites 0 args 0)
+string(JSON F_GLOBAL GET "${ALIAS_DOC}" procs 1 sites 0 globals 0)
+if(NOT F_NAME STREQUAL "f" OR NOT F_ARG STREQUAL "B"
+   OR NOT F_GLOBAL STREQUAL "B")
+  set(FAILURES "${FAILURES}\nalias_summary: f -> h is not bottom for y and g")
+endif()
+expect_run(alias_dump_jf zero "" "--dump-jf" "${ALIAS_MF}")
+string(FIND "${LAST_STDOUT}" "\nf -> h: y=_|_\n" AT)
+if(AT EQUAL -1)
+  set(FAILURES "${FAILURES}\nalias_dump_jf: f -> h disagrees with the summary: '${LAST_STDOUT}'")
+endif()
+expect_run(dump_jf_no_mod zero "" "--no-mod" "--dump-jf" "${ALIAS_MF}")
+expect_run(dump_ssa zero "" "--dump-ssa" "${ALIAS_MF}")
+set(SSA_MOD "${LAST_STDOUT}")
+expect_run(dump_ssa_no_mod zero "" "--no-mod" "--dump-ssa" "${ALIAS_MF}")
+if(LAST_STDOUT STREQUAL SSA_MOD)
+  set(FAILURES "${FAILURES}\ndump_ssa_no_mod: --no-mod does not change the SSA")
+endif()
+
+# Every analysis option the usage text lists (the lines before
+# --emit-source) works with --dump-jf and survives the summary round
+# trip: the loaded summary reproduces the local report, and a summary
+# whose config differs from the default's refuses to load without the
+# option. --complete and --intra-only build no reusable jump functions.
+execute_process(COMMAND ${DRIVER} --help
+                RESULT_VARIABLE RC
+                OUTPUT_QUIET
+                ERROR_VARIABLE HELP)
+string(FIND "${HELP}" "\n  --emit-source" CUT)
+string(SUBSTRING "${HELP}" 0 ${CUT} CONFIG_HELP)
+string(REGEX MATCHALL "\n  --[^ \n]+" CONFIG_LINES "${CONFIG_HELP}")
+set(CONFIG_FLAGS "")
+foreach(LINE ${CONFIG_LINES})
+  string(STRIP "${LINE}" FLAG)
+  if(FLAG MATCHES "^--jf=<(.*)>$")
+    string(REPLACE "|" ";" KINDS "${CMAKE_MATCH_1}")
+    foreach(KIND ${KINDS})
+      list(APPEND CONFIG_FLAGS "--jf=${KIND}")
+    endforeach()
+  else()
+    list(APPEND CONFIG_FLAGS "${FLAG}")
+  endif()
+endforeach()
+list(LENGTH CONFIG_FLAGS NUM_CONFIG_FLAGS)
+if(NUM_CONFIG_FLAGS LESS 14)
+  set(FAILURES "${FAILURES}\nconfig_flags: usage lists only ${NUM_CONFIG_FLAGS} analysis options: ${CONFIG_FLAGS}")
+endif()
+foreach(FLAG ${CONFIG_FLAGS})
+  string(MAKE_C_IDENTIFIER "${FLAG}" TAG)
+  expect_run(dump_jf${TAG} zero "" "--dump-jf" "${FLAG}" "${ALIAS_MF}")
+  set(FLAG_SUMMARY "${WORK_DIR}/summary${TAG}.json")
+  if(FLAG STREQUAL "--complete" OR FLAG STREQUAL "--intra-only")
+    expect_run(summary_out${TAG} nonzero "no reusable"
+               "--summary-out=${FLAG_SUMMARY}" "${FLAG}" "${ALIAS_MF}")
+    continue()
+  endif()
+  expect_run(summary_out${TAG} zero "wrote summary"
+             "--summary-out=${FLAG_SUMMARY}" "${FLAG}" "${ALIAS_MF}")
+  expect_run(local${TAG} zero "" "--stats" "${FLAG}" "${ALIAS_MF}")
+  set(FLAG_REPORT "${LAST_STDOUT}")
+  expect_run(summary_in${TAG} zero "" "--summary-in=${FLAG_SUMMARY}"
+             "--stats" "${FLAG}" "${ALIAS_MF}")
+  if(NOT LAST_STDOUT STREQUAL FLAG_REPORT)
+    set(FAILURES "${FAILURES}\nsummary_in${TAG}: report differs from local mode")
+  endif()
+  file(READ "${FLAG_SUMMARY}" FLAG_DOC)
+  string(JSON FLAG_CONFIG GET "${FLAG_DOC}" config)
+  if(FLAG_CONFIG STREQUAL DEFAULT_CONFIG)
+    expect_run(summary_in_default${TAG} zero ""
+               "--summary-in=${FLAG_SUMMARY}" "${ALIAS_MF}")
+  else()
+    expect_run(summary_in_default${TAG} nonzero "different jump-function"
+               "--summary-in=${FLAG_SUMMARY}" "${ALIAS_MF}")
+  endif()
+endforeach()
 
 # --run executes the program and prints its trace.
 expect_run(run_trace zero "ok" "--run" "${GOOD_MF}")

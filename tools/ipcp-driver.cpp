@@ -5,36 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// ipcp-driver: run the analyzer over a MiniFort file.
-///
-///   ipcp-driver [options] file.mf
-///     --jf=<literal|intra|pass|poly>  forward jump function (default poly)
-///     --no-rjf                        disable return jump functions
-///     --no-mod                        drop interprocedural MOD information
-///     --complete                      iterate with dead-code elimination
-///     --intra-only                    purely intraprocedural propagation
-///     --round-robin                   naive solver (default: worklist)
-///     --emit-source                   print the transformed source
-///     --quiet                         print only the substitution count
+/// ipcp-driver: run the analyzer over a MiniFort file, a built-in suite
+/// program, or (--configs) the whole suite; `ipcp-driver --help` lists
+/// the options. The analysis options come from the flag table in
+/// ipcp/AnalysisConfig.h.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/CallGraph.h"
-#include "analysis/CopyProp.h"
 #include "exec/ExecEngine.h"
 #include "exec/Interpreter.h"
 #include "exec/Oracle.h"
+#include "ipcp/AnalysisConfig.h"
+#include "ipcp/AnalysisSession.h"
 #include "ipcp/Cloning.h"
 #include "ipcp/Inliner.h"
 #include "ipcp/Pipeline.h"
-#include "ir/CfgBuilder.h"
-#include "ir/Dominators.h"
 #include "ir/IrPrinter.h"
 #include "lang/Parser.h"
 #include "serve/Client.h"
 #include "serve/Protocol.h"
 #include "serve/Render.h"
-#include "ipcp/AnalysisSession.h"
 #include "ipcp/SummaryIO.h"
 #include "support/TablePrinter.h"
 #include "support/ThreadPool.h"
@@ -53,19 +43,10 @@ using namespace ipcp;
 
 static void printUsage() {
   std::cerr
-      << "usage: ipcp-driver [options] <file.mf | --suite=<name>>\n"
-         "  --jf=<literal|intra|pass|poly>  forward jump function kind\n"
-         "  --no-rjf       disable return jump functions\n"
-         "  --no-mod       drop interprocedural MOD information\n"
-         "  --complete     iterate with dead-code elimination\n"
-         "  --gsa          gated-SSA jump functions (no DCE iteration)\n"
-         "  --fsa          flow-sensitive by-reference aliasing\n"
-         "  --ogvn         optimistic (iterative) value numbering\n"
-         "  --copy         interprocedural copy propagation (copy lattice)\n"
-         "  --intra-only   purely intraprocedural propagation\n"
-         "  --round-robin  naive fixpoint strategy\n"
-         "  --binding-graph  binding multi-graph fixpoint strategy\n"
-         "  --emit-source  print the transformed source\n"
+      << "usage: ipcp-driver [options] <file.mf | --suite=<name>>\n";
+  printConfigUsage(std::cerr);
+  std::cerr
+      << "  --emit-source  print the transformed source\n"
          "  --quiet        print only the substitution count\n"
          "  --suite=<name> analyze a built-in suite program (e.g. ocean)\n"
          "  --threads=<n>  worker threads inside one analysis (0 = all cores)\n"
@@ -131,6 +112,21 @@ static bool parseU64(const std::string &Value, const char *Flag,
   return true;
 }
 
+// Parses and checks \p Source; prints the diagnostics and returns null
+// on any error.
+static std::unique_ptr<AstContext> checkProgram(const std::string &Source,
+                                                SymbolTable &Symbols) {
+  DiagnosticEngine Diags;
+  std::unique_ptr<AstContext> Ctx = parseProgram(Source, Diags);
+  if (!Diags.hasErrors())
+    Symbols = Sema::run(*Ctx, Diags);
+  if (Diags.hasErrors()) {
+    Diags.print(std::cerr);
+    return nullptr;
+  }
+  return Ctx;
+}
+
 int main(int argc, char **argv) {
   PipelineOptions Opts;
   std::string Path;
@@ -159,41 +155,15 @@ int main(int argc, char **argv) {
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
-    if (Arg.rfind("--jf=", 0) == 0) {
-      std::string Kind = Arg.substr(5);
-      if (Kind == "literal")
-        Opts.Kind = JumpFunctionKind::Literal;
-      else if (Kind == "intra")
-        Opts.Kind = JumpFunctionKind::IntraConst;
-      else if (Kind == "pass")
-        Opts.Kind = JumpFunctionKind::PassThrough;
-      else if (Kind == "poly")
-        Opts.Kind = JumpFunctionKind::Polynomial;
-      else {
-        std::cerr << "error: unknown jump function kind '" << Kind << "'\n";
-        return 1;
-      }
-    } else if (Arg == "--no-rjf") {
-      Opts.UseReturnJumpFunctions = false;
-    } else if (Arg == "--no-mod") {
-      Opts.UseMod = false;
-    } else if (Arg == "--complete") {
-      Opts.CompletePropagation = true;
-    } else if (Arg == "--gsa") {
-      Opts.UseGatedSsa = true;
-    } else if (Arg == "--fsa") {
-      Opts.FlowSensitiveAlias = true;
-    } else if (Arg == "--ogvn") {
-      Opts.OptimisticVn = true;
-    } else if (Arg == "--copy") {
-      Opts.CopyPropagation = true;
-    } else if (Arg == "--intra-only") {
-      Opts.IntraproceduralOnly = true;
-    } else if (Arg == "--round-robin") {
-      Opts.Strategy = SolverStrategy::RoundRobin;
-    } else if (Arg == "--binding-graph") {
-      Opts.Strategy = SolverStrategy::BindingGraph;
-    } else if (Arg == "--emit-source") {
+    std::string ConfigError;
+    ConfigArg Parsed = parseConfigArg(Arg, Opts, ConfigError);
+    if (Parsed == ConfigArg::Invalid) {
+      std::cerr << "error: " << ConfigError << '\n';
+      return 1;
+    }
+    if (Parsed == ConfigArg::Applied)
+      continue;
+    if (Arg == "--emit-source") {
       EmitSource = true;
     } else if (Arg == "--quiet") {
       Quiet = true;
@@ -487,25 +457,12 @@ int main(int argc, char **argv) {
 
   // Summary export: write the versioned jump-function summary and exit.
   if (!SummaryOut.empty()) {
-    DiagnosticEngine Diags;
-    auto Ctx = parseProgram(Source, Diags);
     SymbolTable Symbols;
-    if (!Diags.hasErrors())
-      Symbols = Sema::run(*Ctx, Diags);
-    if (Diags.hasErrors()) {
-      Diags.print(std::cerr);
+    std::unique_ptr<AstContext> Ctx = checkProgram(Source, Symbols);
+    if (!Ctx)
       return 1;
-    }
     AnalysisSession Session(*Ctx, Symbols);
-    JumpFunctionOptions JfOpts;
-    JfOpts.Kind = Opts.Kind;
-    JfOpts.UseReturnJumpFunctions = Opts.UseReturnJumpFunctions;
-    JfOpts.UseMod = Opts.UseMod;
-    JfOpts.UseGatedSsa = Opts.UseGatedSsa;
-    JfOpts.FlowSensitiveAlias = Opts.FlowSensitiveAlias;
-    JfOpts.OptimisticVn = Opts.OptimisticVn;
-    JfOpts.CopyPropagation = Opts.CopyPropagation;
-    ProgramSummary S = buildSummary(Session, JfOpts, ProgramName,
+    ProgramSummary S = buildSummary(Session, Opts, ProgramName,
                                     summarySourceHash(Source));
     std::ofstream OutFile(SummaryOut, std::ios::binary | std::ios::trunc);
     if (!OutFile) {
@@ -524,15 +481,10 @@ int main(int argc, char **argv) {
   }
 
   if (DoRun) {
-    DiagnosticEngine Diags;
-    auto Ctx = parseProgram(Source, Diags);
     SymbolTable Symbols;
-    if (!Diags.hasErrors())
-      Symbols = Sema::run(*Ctx, Diags);
-    if (Diags.hasErrors()) {
-      Diags.print(std::cerr);
+    std::unique_ptr<AstContext> Ctx = checkProgram(Source, Symbols);
+    if (!Ctx)
       return 1;
-    }
     ProgramRunner Runner(Ctx->program(), Symbols, Engine);
     RunOptions RO;
     RO.ReadSeed = ReadSeed;
@@ -593,44 +545,23 @@ int main(int argc, char **argv) {
   }
 
   if (DumpIr || DumpSsa || DumpJf) {
-    DiagnosticEngine Diags;
-    auto Ctx = parseProgram(Source, Diags);
-    SymbolTable Symbols = Sema::run(*Ctx, Diags);
-    if (Diags.hasErrors()) {
-      Diags.print(std::cerr);
+    // One session, so the dumps show exactly what the analysis (and a
+    // summary written under the same flags) works from.
+    SymbolTable Symbols;
+    std::unique_ptr<AstContext> Ctx = checkProgram(Source, Symbols);
+    if (!Ctx)
       return 1;
-    }
-    Module M = buildModule(Ctx->program(), Symbols);
-    CallGraph CG(M, *Ctx->program().entryProc());
-    ModRefInfo MRI(M, Symbols, CG);
-    for (const auto &F : M.Functions) {
+    AnalysisSession Session(*Ctx, Symbols);
+    const Module &M = Session.module();
+    for (ProcId P = 0; P != M.Functions.size(); ++P) {
       if (DumpIr)
-        printFunction(*F, Symbols, std::cout);
-      if (DumpSsa) {
-        DominatorTree DT(*F);
-        SsaForm Ssa(*F, Symbols, DT, makeKillOracle(Symbols, &MRI));
-        printSsa(Ssa, Symbols, std::cout);
-      }
+        printFunction(M.function(P), Symbols, std::cout);
+      if (DumpSsa)
+        printSsa(Session.ssa(P, Opts.UseMod).Ssa, Symbols, std::cout);
     }
     if (DumpJf) {
-      JumpFunctionOptions JfOpts;
-      JfOpts.Kind = Opts.Kind;
-      JfOpts.UseReturnJumpFunctions = Opts.UseReturnJumpFunctions;
-      JfOpts.UseMod = Opts.UseMod;
-      JfOpts.UseGatedSsa = Opts.UseGatedSsa;
-      JfOpts.FlowSensitiveAlias = Opts.FlowSensitiveAlias;
-      JfOpts.OptimisticVn = Opts.OptimisticVn;
-      JfOpts.CopyPropagation = Opts.CopyPropagation;
-      std::optional<CopyPropInfo> CopyFacts;
-      if (JfOpts.CopyPropagation) {
-        RefAliasInfo Aliases(M, Symbols, &MRI);
-        CopyFacts.emplace(M, Symbols, &MRI, Aliases);
-      }
-      ProgramJumpFunctions Jfs =
-          buildJumpFunctions(M, Symbols, CG, &MRI, JfOpts,
-                             /*Aliases=*/nullptr, /*Pool=*/nullptr,
-                             /*Session=*/nullptr, /*FlowAliases=*/nullptr,
-                             CopyFacts ? &*CopyFacts : nullptr);
+      const CallGraph &CG = Session.callGraph();
+      ProgramJumpFunctions Jfs = buildJumpFunctions(Session, Opts);
       for (ProcId P = 0; P != CG.numProcs(); ++P) {
         const auto &Sites = CG.callSitesIn(P);
         for (size_t I = 0; I != Sites.size(); ++I) {
@@ -682,24 +613,11 @@ int main(int argc, char **argv) {
       std::cerr << "error: " << SummaryIn << ": " << Error << '\n';
       return 1;
     }
-    DiagnosticEngine Diags;
-    auto Ctx = parseProgram(Source, Diags);
     SymbolTable Symbols;
-    if (!Diags.hasErrors())
-      Symbols = Sema::run(*Ctx, Diags);
-    if (Diags.hasErrors()) {
-      Diags.print(std::cerr);
+    std::unique_ptr<AstContext> Ctx = checkProgram(Source, Symbols);
+    if (!Ctx)
       return 1;
-    }
-    JumpFunctionOptions JfOpts;
-    JfOpts.Kind = Opts.Kind;
-    JfOpts.UseReturnJumpFunctions = Opts.UseReturnJumpFunctions;
-    JfOpts.UseMod = Opts.UseMod;
-    JfOpts.UseGatedSsa = Opts.UseGatedSsa;
-    JfOpts.FlowSensitiveAlias = Opts.FlowSensitiveAlias;
-    JfOpts.OptimisticVn = Opts.OptimisticVn;
-    JfOpts.CopyPropagation = Opts.CopyPropagation;
-    if (!sameJumpFunctionOptions(S.Options, JfOpts)) {
+    if (S.Options != Opts) {
       std::cerr << "error: '" << SummaryIn << "' was built under a "
                    "different jump-function configuration than the one "
                    "selected\n";
