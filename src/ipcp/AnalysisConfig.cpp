@@ -6,8 +6,6 @@
 
 #include "ipcp/AnalysisConfig.h"
 
-#include "serve/Json.h"
-
 #include <algorithm>
 #include <optional>
 #include <ostream>
@@ -63,10 +61,6 @@ std::string choices(const Token<E> (&Table)[N]) {
   return S;
 }
 
-bool onSurface(const AnalysisFlag &F, ConfigSurface Surface) {
-  return Surface == ConfigSurface::Request || F.JumpFunctionOption;
-}
-
 } // namespace
 
 const char *ipcp::jumpFunctionKindToken(JumpFunctionKind K) {
@@ -76,6 +70,20 @@ const char *ipcp::jumpFunctionKindToken(JumpFunctionKind K) {
 const char *ipcp::solverStrategyToken(SolverStrategy S) {
   return tokenOf(StrategyTokens, S);
 }
+
+std::optional<JumpFunctionKind>
+ipcp::parseJumpFunctionKindToken(std::string_view Text) {
+  return parseToken(KindTokens, Text);
+}
+
+std::optional<SolverStrategy>
+ipcp::parseSolverStrategyToken(std::string_view Text) {
+  return parseToken(StrategyTokens, Text);
+}
+
+std::string ipcp::jumpFunctionKindChoices() { return choices(KindTokens); }
+
+std::string ipcp::solverStrategyChoices() { return choices(StrategyTokens); }
 
 ConfigArg ipcp::parseConfigArg(std::string_view Arg, PipelineOptions &Opts,
                                std::string &Error) {
@@ -114,71 +122,6 @@ void ipcp::printConfigUsage(std::ostream &OS) {
   for (const Token<SolverStrategy> &S : StrategyTokens)
     if (S.Help)
       Line(std::string("--") + S.Text, S.Help);
-}
-
-JsonValue ipcp::configToJson(const PipelineOptions &Opts,
-                             ConfigSurface Surface) {
-  JsonValue Cfg = JsonValue::object();
-  Cfg.set("jf", jumpFunctionKindToken(Opts.Kind));
-  for (const AnalysisFlag &F : AnalysisFlags) {
-    bool V = Opts.*F.Member;
-    if (onSurface(F, Surface) && (F.AlwaysWritten || V != flagDefault(F)))
-      Cfg.set(F.Key, JsonValue(V));
-  }
-  if (Surface == ConfigSurface::Request)
-    Cfg.set("strategy", solverStrategyToken(Opts.Strategy));
-  return Cfg;
-}
-
-bool ipcp::configFromJson(const JsonValue &Cfg, ConfigSurface Surface,
-                          PipelineOptions &Opts, std::string &Error) {
-  for (const auto &[Key, V] : Cfg.members()) {
-    if (Key == "jf") {
-      std::optional<JumpFunctionKind> K =
-          V.isString() ? parseToken(KindTokens, V.str()) : std::nullopt;
-      if (!K) {
-        Error = "config.jf must be " + choices(KindTokens);
-        return false;
-      }
-      Opts.Kind = *K;
-      continue;
-    }
-    if (Key == "strategy" && Surface == ConfigSurface::Request) {
-      std::optional<SolverStrategy> S =
-          V.isString() ? parseToken(StrategyTokens, V.str()) : std::nullopt;
-      if (!S) {
-        Error = "config.strategy must be " + choices(StrategyTokens);
-        return false;
-      }
-      Opts.Strategy = *S;
-      continue;
-    }
-    const AnalysisFlag *Flag = nullptr;
-    for (const AnalysisFlag &F : AnalysisFlags)
-      if (Key == F.Key && onSurface(F, Surface))
-        Flag = &F;
-    if (!Flag) {
-      Error = "unknown config field '" + Key + "'";
-      return false;
-    }
-    if (!V.isBool()) {
-      Error = "config." + Key + " must be a boolean";
-      return false;
-    }
-    Opts.*Flag->Member = V.boolean();
-  }
-  if (Surface == ConfigSurface::Summary) {
-    if (!Cfg.find("jf")) {
-      Error = "missing config field 'jf'";
-      return false;
-    }
-    for (const AnalysisFlag &F : AnalysisFlags)
-      if (onSurface(F, Surface) && F.AlwaysWritten && !Cfg.find(F.Key)) {
-        Error = std::string("missing config field '") + F.Key + "'";
-        return false;
-      }
-  }
-  return true;
 }
 
 unsigned ipcp::jumpFunctionFlagBits(const JumpFunctionOptions &Opts) {

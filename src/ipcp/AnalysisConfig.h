@@ -7,13 +7,13 @@
 /// \file
 /// How every surface spells an analyzer configuration (PipelineOptions):
 /// one row per boolean flag, one token per jump-function kind and solver
-/// strategy, and the codec behind the driver's flags and usage text, the
-/// `config` objects of serve requests and summaries, the reply-cache key
-/// (serve/Protocol.cpp), the session's jump-function base key and the
-/// report header (serve/Render.cpp). Adding a flag is one row here, its
-/// field, and the code that reads it (DESIGN.md, "Adding an analysis
-/// flag"). Wire bytes depend on the rows' keys and elision rules, so
-/// existing rows are never respelled.
+/// strategy, and the codec behind the driver's flags and usage text. The
+/// same table drives the `config` object of serve requests and the
+/// reply-cache key (serve/Protocol.cpp), the session's jump-function
+/// base key and the report header (serve/Render.cpp). Adding a flag is
+/// one row here, its field, and the code that reads it (DESIGN.md,
+/// "Adding an analysis flag"). Wire bytes depend on the rows' keys and
+/// elision rules, so existing rows are never respelled.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,26 +23,24 @@
 #include "ipcp/Pipeline.h"
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 
 namespace ipcp {
-class JsonValue;
 
 /// One boolean analysis flag, as every surface spells it. The driver
 /// flag sets the member to the opposite of its PipelineOptions default,
 /// so the default alone gives the flag's polarity (--no-rjf, --gsa).
 struct AnalysisFlag {
   bool PipelineOptions::*Member;
-  /// Member name in `config` objects (requests, summaries) and in the
-  /// cache key.
+  /// Member name in request `config` objects and in the cache key.
   const char *Key;
   /// Driver spelling and its usage line.
   const char *Cli;
   const char *Help;
-  /// A JumpFunctionOptions member: carried by summaries and part of the
-  /// session's jump-function base key. The others (complete,
-  /// intra_only) are pipeline-only.
+  /// A JumpFunctionOptions member: part of the session's jump-function
+  /// base key. The others (complete, intra_only) are pipeline-only.
   bool JumpFunctionOption;
   /// Written to `config` objects even at its default. The others are
   /// elided at their default, so documents from before the flag existed
@@ -99,6 +97,14 @@ inline constexpr unsigned NumJumpFunctionFlags = [] {
 const char *jumpFunctionKindToken(JumpFunctionKind K);
 const char *solverStrategyToken(SolverStrategy S);
 
+/// The kind or strategy a wire token names; nullopt for any other text.
+std::optional<JumpFunctionKind> parseJumpFunctionKindToken(std::string_view);
+std::optional<SolverStrategy> parseSolverStrategyToken(std::string_view);
+
+/// Every token, "|"-separated, for diagnostics ("literal|intra|...").
+std::string jumpFunctionKindChoices();
+std::string solverStrategyChoices();
+
 /// What parseConfigArg did with one command-line argument.
 enum class ConfigArg { NotConfig, Applied, Invalid };
 
@@ -110,21 +116,6 @@ ConfigArg parseConfigArg(std::string_view Arg, PipelineOptions &Opts,
 
 /// The analysis-option lines of the driver's usage text.
 void printConfigUsage(std::ostream &OS);
-
-/// The two documents that carry a `config` object: serve requests carry
-/// every flag plus the strategy; summaries carry the jump-function
-/// flags only, and require the always-written ones.
-enum class ConfigSurface { Request, Summary };
-
-/// The canonical `config` object of \p Opts on \p Surface.
-JsonValue configToJson(const PipelineOptions &Opts, ConfigSurface Surface);
-
-/// Reads a `config` object into \p Opts; absent optional members keep
-/// their value in \p Opts. Unknown and ill-typed members are rejected:
-/// a typo'd field silently analyzing under defaults is exactly the bug
-/// a wire format must not have. Expects \p Cfg to be an object.
-bool configFromJson(const JsonValue &Cfg, ConfigSurface Surface,
-                    PipelineOptions &Opts, std::string &Error);
 
 /// The jump-function flags of \p Opts packed one bit per row (Kind
 /// excluded) — the session's jump-function base key.

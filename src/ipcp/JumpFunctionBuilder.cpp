@@ -436,7 +436,6 @@ void buildJfBase(AnalysisSession::JfBase &B, const Module &M,
                  const RefAliasInfo *Aliases, const FlowAliasInfo *FlowAliases,
                  const CopyPropInfo *CopyFacts, ThreadPool *Pool,
                  AnalysisSession *Session) {
-  B.Skeleton.Options = Opts;
   B.Skeleton.PerSite.resize(M.Functions.size());
   B.Skeleton.ReturnJfs.resize(M.Functions.size());
   B.Vn.resize(M.Functions.size());
@@ -517,7 +516,6 @@ ProgramJumpFunctions ipcp::buildJumpFunctions(
          "copy mode needs the copy propagation facts");
 
   ProgramJumpFunctions Jfs;
-  Jfs.Options = Opts;
   Jfs.PerSite.resize(M.Functions.size());
   Jfs.ReturnJfs.resize(M.Functions.size());
 

@@ -122,8 +122,6 @@ struct CallSiteJumpFunctions {
 /// All jump functions of one program, plus evaluation helpers.
 class ProgramJumpFunctions {
 public:
-  JumpFunctionOptions Options;
-
   /// PerSite[p] is parallel to CallGraph::callSitesIn(p); empty for
   /// procedures unreachable from the entry.
   std::vector<std::vector<CallSiteJumpFunctions>> PerSite;
@@ -193,7 +191,7 @@ ProgramJumpFunctions buildJumpFunctions(const Module &M,
 
 /// buildJumpFunctions over \p Session's cached MOD, alias and copy facts
 /// for \p Opts, wired as the pipeline wires them — for callers that need
-/// only the jump functions (summaries, the driver's --dump-jf).
+/// only the jump functions (the driver's --dump-jf).
 ProgramJumpFunctions buildJumpFunctions(AnalysisSession &Session,
                                         const JumpFunctionOptions &Opts,
                                         ThreadPool *Pool = nullptr);

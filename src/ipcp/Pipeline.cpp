@@ -67,28 +67,12 @@ void recordRunFeatures(FuzzFeedback *FB, const PipelineResult &R) {
 
 PipelineResult ipcp::runPipelineOnSession(AnalysisSession &Session,
                                           const PipelineOptions &Opts) {
-  return runPipelineOnSession(Session, Opts, nullptr);
-}
-
-PipelineResult
-ipcp::runPipelineOnSession(AnalysisSession &Session,
-                           const PipelineOptions &Opts,
-                           const ProgramJumpFunctions *PreloadedJfs) {
   PipelineResult Result;
   AstContext &Ctx = Session.ast();
   const SymbolTable &Symbols = Session.symbols();
   const Program &Prog = Ctx.program();
   if (!Prog.entryProc()) {
     Result.Error = "program has no 'main' procedure";
-    return Result;
-  }
-  if (PreloadedJfs && (Opts.CompletePropagation || Opts.IntraproceduralOnly)) {
-    Result.Error = Opts.CompletePropagation
-                       ? "preloaded jump functions cannot drive complete "
-                         "propagation (its rounds rebuild them from a "
-                         "mutated program)"
-                       : "intraprocedural-only propagation uses no jump "
-                         "functions to preload";
     return Result;
   }
 
@@ -167,20 +151,15 @@ ipcp::runPipelineOnSession(AnalysisSession &Session,
     Result.Timings.LowerMs += lapMs(Phase);
 
     ProgramJumpFunctions Jfs;
-    const ProgramJumpFunctions *ActiveJfs = &Jfs;
     SolveResult Solve;
     bool UseRjfInSccp = false;
     if (!Opts.IntraproceduralOnly) {
-      if (PreloadedJfs) {
-        ActiveJfs = PreloadedJfs;
-      } else {
-        Jfs = buildJumpFunctions(M, Symbols, CG, MRI, Opts, &Aliases, Pool,
-                                 &Session, FlowAliases, CopyFacts);
-      }
+      Jfs = buildJumpFunctions(M, Symbols, CG, MRI, Opts, &Aliases, Pool,
+                               &Session, FlowAliases, CopyFacts);
       Result.Timings.JumpFunctionsMs += lapMs(Phase);
       if (isCancelled(Opts.Cancel))
         return Abandon();
-      Solve = solveConstants(Symbols, CG, *ActiveJfs, Opts.Strategy,
+      Solve = solveConstants(Symbols, CG, Jfs, Opts.Strategy,
                              Opts.Feedback, Opts.Cancel,
                              &Session.solverMemo());
       Result.Timings.SolveMs += lapMs(Phase);
@@ -193,7 +172,7 @@ ipcp::runPipelineOnSession(AnalysisSession &Session,
 
     SubstitutionResult Subs = countSubstitutions(
         M, Symbols, CG, Opts.IntraproceduralOnly ? nullptr : &Solve, MRI,
-        UseRjfInSccp ? ActiveJfs : nullptr, &Aliases, Pool, &Session,
+        UseRjfInSccp ? &Jfs : nullptr, &Aliases, Pool, &Session,
         FlowAliases, CopyFacts);
     Result.Timings.SubstituteMs += lapMs(Phase);
 
@@ -218,9 +197,9 @@ ipcp::runPipelineOnSession(AnalysisSession &Session,
     Result.SubstitutedConstants = Subs.Total;
     Result.ConstantPrints = Subs.ConstantPrints;
     Result.PerProcSubstituted = Subs.PerProc;
-    Result.JfStats = ActiveJfs->Stats;
-    Result.GvnPhiMerges = ActiveJfs->Stats.NumGvnPhiMerges;
-    Result.CopyForwardJfs = ActiveJfs->Stats.NumForwardCopy;
+    Result.JfStats = Jfs.Stats;
+    Result.GvnPhiMerges = Jfs.Stats.NumGvnPhiMerges;
+    Result.CopyForwardJfs = Jfs.Stats.NumForwardCopy;
     Result.SolverProcVisits = Solve.ProcVisits;
     Result.SolverJfEvaluations = Solve.JfEvaluations;
     Result.SolverCellLowerings = Solve.CellLowerings;

@@ -39,8 +39,8 @@ class ThreadPool;
 /// return JFs, MOD, gated SSA and the precision and copy tiers; see
 /// JumpFunctionOptions) plus the options only the pipeline reads. Every
 /// surface that spells a configuration (driver flags, the serve
-/// protocol, summaries, cache keys, report headers) goes through the
-/// flag table in ipcp/AnalysisConfig.h.
+/// protocol, cache keys, report headers) goes through the flag table in
+/// ipcp/AnalysisConfig.h.
 struct PipelineOptions : JumpFunctionOptions {
   /// Iterate {propagate, dead-code eliminate, reset to TOP} to a fixed
   /// point — the paper's "complete propagation" (Table 3, column 3).
@@ -203,19 +203,6 @@ PipelineResult runPipelineOnAst(AstContext &Ctx, const SymbolTable &Symbols,
 /// it a private clone of the program).
 PipelineResult runPipelineOnSession(AnalysisSession &Session,
                                     const PipelineOptions &Opts);
-
-/// Like runPipelineOnSession, but stage 2 comes from \p PreloadedJfs —
-/// typically a reconstituted summary (ipcp/SummaryIO.h) — instead of
-/// being built; solve, substitution, and reporting are identical, so the
-/// result is byte-identical to a local run whose builder produced the
-/// same jump functions. The preloaded functions must match Opts' jump
-/// function configuration (the summary loader checks that) and the AST
-/// they were built from. Fails with a diagnostic under
-/// CompletePropagation (its DCE rounds rebuild jump functions from a
-/// mutated AST) and IntraproceduralOnly (no jump functions at all).
-PipelineResult runPipelineOnSession(AnalysisSession &Session,
-                                    const PipelineOptions &Opts,
-                                    const ProgramJumpFunctions *PreloadedJfs);
 
 } // namespace ipcp
 

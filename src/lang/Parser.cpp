@@ -6,7 +6,9 @@
 
 #include "lang/Parser.h"
 
+#include <algorithm>
 #include <cassert>
+#include <string>
 
 using namespace ipcp;
 
@@ -53,10 +55,31 @@ private:
   bool expect(TokenKind K, const char *Context) {
     if (match(K))
       return true;
-    Diags.error(peek().Loc, std::string("expected ") + tokenKindName(K) +
-                                " " + Context + ", found " +
-                                tokenKindName(peek().Kind));
+    error(peek().Loc, std::string("expected ") + tokenKindName(K) +
+                          " " + Context + ", found " +
+                          tokenKindName(peek().Kind));
     return false;
+  }
+
+  /// Reports a syntax error, unless parsing already stopped at the
+  /// depth bound: what follows that point was never parsed.
+  void error(SourceLoc Loc, std::string Message) {
+    if (!TooDeep)
+      Diags.error(Loc, std::move(Message));
+  }
+
+  /// Checks that a node at depth \p D is within MaxAstDepth. Past it,
+  /// reports once and stops parsing: every loop of the parser ends at
+  /// Eof, so the recursion unwinds without going deeper.
+  bool tooDeep(unsigned D) {
+    if (D <= MaxAstDepth)
+      return false;
+    if (!TooDeep)
+      Diags.error(peek().Loc, "program nests deeper than " +
+                                  std::to_string(MaxAstDepth) + " levels");
+    TooDeep = true;
+    Pos = Tokens.size() - 1;
+    return true;
   }
 
   /// Skips ahead to just past the next newline (error recovery).
@@ -68,8 +91,7 @@ private:
   bool expectNewline(const char *Context) {
     if (match(TokenKind::Newline) || check(TokenKind::Eof))
       return true;
-    Diags.error(peek().Loc,
-                std::string("expected end of line ") + Context);
+    error(peek().Loc, std::string("expected end of line ") + Context);
     syncToNextLine();
     return false;
   }
@@ -84,7 +106,7 @@ private:
       if (check(TokenKind::Identifier))
         Prog.Name = advance().Text;
       else
-        Diags.error(peek().Loc, "expected program name");
+        error(peek().Loc, "expected program name");
       expectNewline("after program header");
     }
 
@@ -96,10 +118,10 @@ private:
       } else if (check(TokenKind::KwProc)) {
         parseProc();
       } else {
-        Diags.error(peek().Loc,
-                    std::string("expected 'global', 'array', or 'proc' at "
-                                "top level, found ") +
-                        tokenKindName(peek().Kind));
+        error(peek().Loc,
+              std::string("expected 'global', 'array', or 'proc' at "
+                          "top level, found ") +
+                  tokenKindName(peek().Kind));
         syncToNextLine();
       }
     }
@@ -111,7 +133,7 @@ private:
       GlobalDecl Decl;
       Decl.Loc = peek().Loc;
       if (!check(TokenKind::Identifier)) {
-        Diags.error(peek().Loc, "expected global variable name");
+        error(peek().Loc, "expected global variable name");
         syncToNextLine();
         return;
       }
@@ -119,8 +141,7 @@ private:
       if (match(TokenKind::Assign)) {
         bool Negate = match(TokenKind::Minus);
         if (!check(TokenKind::IntLiteral)) {
-          Diags.error(peek().Loc,
-                      "global initializer must be an integer literal");
+          error(peek().Loc, "global initializer must be an integer literal");
           syncToNextLine();
           return;
         }
@@ -136,14 +157,14 @@ private:
   bool parseArrayDeclTail(ArrayDecl &Decl) {
     Decl.Loc = peek().Loc;
     if (!check(TokenKind::Identifier)) {
-      Diags.error(peek().Loc, "expected array name");
+      error(peek().Loc, "expected array name");
       return false;
     }
     Decl.Name = advance().Text;
     if (!expect(TokenKind::LParen, "after array name"))
       return false;
     if (!check(TokenKind::IntLiteral)) {
-      Diags.error(peek().Loc, "array size must be an integer literal");
+      error(peek().Loc, "array size must be an integer literal");
       return false;
     }
     Decl.Size = advance().IntValue;
@@ -164,7 +185,7 @@ private:
     if (check(TokenKind::Identifier)) {
       Name = advance().Text;
     } else {
-      Diags.error(peek().Loc, "expected procedure name");
+      error(peek().Loc, "expected procedure name");
       syncToNextLine();
       return;
     }
@@ -174,7 +195,7 @@ private:
       if (!check(TokenKind::RParen)) {
         do {
           if (!check(TokenKind::Identifier)) {
-            Diags.error(peek().Loc, "expected formal parameter name");
+            error(peek().Loc, "expected formal parameter name");
             break;
           }
           Formals.emplace_back(advance().Text);
@@ -192,7 +213,7 @@ private:
         advance();
         do {
           if (!check(TokenKind::Identifier)) {
-            Diags.error(peek().Loc, "expected local variable name");
+            error(peek().Loc, "expected local variable name");
             break;
           }
           P->Locals.emplace_back(advance().Text);
@@ -211,11 +232,11 @@ private:
       break;
     }
 
-    P->Body = parseStmtList();
+    P->Body = parseBlock();
 
     if (!match(TokenKind::KwEnd))
-      Diags.error(peek().Loc, "expected 'end' to close procedure '" +
-                                  P->name() + "'");
+      error(peek().Loc, "expected 'end' to close procedure '" +
+                            P->name() + "'");
     expectNewline("after 'end'");
     Ctx->program().Procs.push_back(std::move(P));
   }
@@ -223,6 +244,16 @@ private:
   //===--------------------------------------------------------------------===//
   // Statements
   //===--------------------------------------------------------------------===//
+
+  /// Parses the statements of a body one level below Depth.
+  std::vector<Stmt *> parseBlock() {
+    ++Depth;
+    std::vector<Stmt *> Body;
+    if (!tooDeep(Depth))
+      Body = parseStmtList();
+    --Depth;
+    return Body;
+  }
 
   /// Parses statements until 'end', 'else', 'elseif', or EOF.
   std::vector<Stmt *> parseStmtList() {
@@ -258,8 +289,8 @@ private:
       return Ctx->createStmt<ReturnStmt>(Loc);
     }
     default:
-      Diags.error(peek().Loc, std::string("expected a statement, found ") +
-                                  tokenKindName(peek().Kind));
+      error(peek().Loc, std::string("expected a statement, found ") +
+                            tokenKindName(peek().Kind));
       syncToNextLine();
       return nullptr;
     }
@@ -270,17 +301,20 @@ private:
     std::string Name(advance().Text);
     Expr *Target = nullptr;
     if (match(TokenKind::LParen)) {
-      Expr *Index = parseExpr();
+      // The subscript is an operand of the target, itself an operand.
+      ++Depth;
+      Expr *Index = parseOperand();
+      --Depth;
       expect(TokenKind::RParen, "after array subscript");
       Target = Ctx->createExpr<ArrayRefExpr>(Loc, Name, Index);
     } else {
-      Target = Ctx->createExpr<VarRefExpr>(Loc, Name);
+      Target = operandVar(Loc, Name);
     }
     if (!expect(TokenKind::Assign, "in assignment")) {
       syncToNextLine();
       return nullptr;
     }
-    Expr *Value = parseExpr();
+    Expr *Value = parseOperand();
     expectNewline("after assignment");
     return Ctx->createStmt<AssignStmt>(Loc, Target, Value);
   }
@@ -288,7 +322,7 @@ private:
   Stmt *parseCall() {
     SourceLoc Loc = advance().Loc; // 'call'
     if (!check(TokenKind::Identifier)) {
-      Diags.error(peek().Loc, "expected procedure name after 'call'");
+      error(peek().Loc, "expected procedure name after 'call'");
       syncToNextLine();
       return nullptr;
     }
@@ -297,7 +331,7 @@ private:
     if (expect(TokenKind::LParen, "after callee name")) {
       if (!check(TokenKind::RParen)) {
         do
-          Args.push_back(parseExpr());
+          Args.push_back(parseOperand());
         while (match(TokenKind::Comma));
       }
       expect(TokenKind::RParen, "after call arguments");
@@ -310,26 +344,29 @@ private:
   Stmt *parseIf() {
     SourceLoc Loc = advance().Loc; // 'if' or 'elseif'
     expect(TokenKind::LParen, "after 'if'");
-    Expr *Cond = parseExpr();
+    Expr *Cond = parseOperand();
     expect(TokenKind::RParen, "after if condition");
     expect(TokenKind::KwThen, "after if condition");
     expectNewline("after 'then'");
 
-    std::vector<Stmt *> Then = parseStmtList();
+    std::vector<Stmt *> Then = parseBlock();
     std::vector<Stmt *> Else;
 
     if (check(TokenKind::KwElseif)) {
       // Desugar: elseif becomes a nested if in the else block, sharing the
       // same 'end if'.
-      if (Stmt *Nested = parseIf())
-        Else.push_back(Nested);
+      ++Depth;
+      if (!tooDeep(Depth))
+        if (Stmt *Nested = parseIf())
+          Else.push_back(Nested);
+      --Depth;
       return Ctx->createStmt<IfStmt>(Loc, Cond, std::move(Then),
                                      std::move(Else));
     }
 
     if (match(TokenKind::KwElse)) {
       expectNewline("after 'else'");
-      Else = parseStmtList();
+      Else = parseBlock();
     }
     expect(TokenKind::KwEnd, "to close 'if'");
     expect(TokenKind::KwIf, "after 'end'");
@@ -341,23 +378,22 @@ private:
   Stmt *parseDo() {
     SourceLoc Loc = advance().Loc; // 'do'
     if (!check(TokenKind::Identifier)) {
-      Diags.error(peek().Loc, "expected loop variable after 'do'");
+      error(peek().Loc, "expected loop variable after 'do'");
       syncToNextLine();
       return nullptr;
     }
     SourceLoc VarLoc = peek().Loc;
-    auto *Var =
-        Ctx->createExpr<VarRefExpr>(VarLoc, std::string(advance().Text));
+    auto *Var = operandVar(VarLoc, std::string(advance().Text));
     expect(TokenKind::Assign, "after loop variable");
-    Expr *Lo = parseExpr();
+    Expr *Lo = parseOperand();
     expect(TokenKind::Comma, "after loop lower bound");
-    Expr *Hi = parseExpr();
+    Expr *Hi = parseOperand();
     Expr *Step = nullptr;
     if (match(TokenKind::Comma))
-      Step = parseExpr();
+      Step = parseOperand();
     expectNewline("after do header");
 
-    std::vector<Stmt *> Body = parseStmtList();
+    std::vector<Stmt *> Body = parseBlock();
     expect(TokenKind::KwEnd, "to close 'do'");
     expect(TokenKind::KwDo, "after 'end'");
     expectNewline("after 'end do'");
@@ -368,11 +404,11 @@ private:
   Stmt *parseWhile() {
     SourceLoc Loc = advance().Loc; // 'while'
     expect(TokenKind::LParen, "after 'while'");
-    Expr *Cond = parseExpr();
+    Expr *Cond = parseOperand();
     expect(TokenKind::RParen, "after while condition");
     expectNewline("after while header");
 
-    std::vector<Stmt *> Body = parseStmtList();
+    std::vector<Stmt *> Body = parseBlock();
     expect(TokenKind::KwEnd, "to close 'while'");
     expect(TokenKind::KwWhile, "after 'end'");
     expectNewline("after 'end while'");
@@ -381,7 +417,7 @@ private:
 
   Stmt *parsePrint() {
     SourceLoc Loc = advance().Loc; // 'print'
-    Expr *Value = parseExpr();
+    Expr *Value = parseOperand();
     expectNewline("after print");
     return Ctx->createStmt<PrintStmt>(Loc, Value);
   }
@@ -389,13 +425,12 @@ private:
   Stmt *parseRead() {
     SourceLoc Loc = advance().Loc; // 'read'
     if (!check(TokenKind::Identifier)) {
-      Diags.error(peek().Loc, "expected variable name after 'read'");
+      error(peek().Loc, "expected variable name after 'read'");
       syncToNextLine();
       return nullptr;
     }
     SourceLoc VarLoc = peek().Loc;
-    auto *Var =
-        Ctx->createExpr<VarRefExpr>(VarLoc, std::string(advance().Text));
+    auto *Var = operandVar(VarLoc, std::string(advance().Text));
     expectNewline("after read");
     return Ctx->createStmt<ReadStmt>(Loc, Var);
   }
@@ -404,33 +439,79 @@ private:
   // Expressions
   //===--------------------------------------------------------------------===//
 
-  Expr *parseExpr() { return parseOr(); }
+  /// An expression under construction and its height: the number of
+  /// levels from its root down to its deepest leaf, parentheses
+  /// included. Operands of a left-deep chain are parsed at the chain's
+  /// own depth and sink one level with every operator after them, so
+  /// the bound is checked on the height of each node as it is built.
+  struct Parsed {
+    Expr *E;
+    unsigned Height;
+  };
 
-  Expr *parseOr() {
-    Expr *Lhs = parseAnd();
+  /// Runs \p Parse for a node one level below Depth. Past the bound it
+  /// yields a placeholder leaf instead.
+  template <typename ParseFn> Parsed below(ParseFn Parse) {
+    ++Depth;
+    Parsed P = tooDeep(Depth)
+                   ? Parsed{Ctx->createExpr<IntLitExpr>(peek().Loc,
+                                                        int64_t(0)),
+                            1}
+                   : Parse();
+    --Depth;
+    return P;
+  }
+
+  /// \p E at Depth over children at most \p ChildHeight high.
+  Parsed node(Expr *E, unsigned ChildHeight) {
+    Parsed P{E, ChildHeight + 1};
+    tooDeep(Depth + P.Height - 1);
+    return P;
+  }
+
+  Parsed binary(SourceLoc Loc, BinaryOp Op, Parsed Lhs, Parsed Rhs) {
+    return node(Ctx->createExpr<BinaryExpr>(Loc, Op, Lhs.E, Rhs.E),
+                std::max(Lhs.Height, Rhs.Height));
+  }
+
+  /// An expression operand of the statement at Depth.
+  Expr *parseOperand() {
+    return below([this] { return parseOr(); }).E;
+  }
+
+  /// A variable operand of the statement at Depth.
+  VarRefExpr *operandVar(SourceLoc Loc, std::string Name) {
+    tooDeep(Depth + 1);
+    return Ctx->createExpr<VarRefExpr>(Loc, std::move(Name));
+  }
+
+  Parsed parseOr() {
+    Parsed Lhs = parseAnd();
     while (check(TokenKind::KwOr)) {
       SourceLoc Loc = advance().Loc;
-      Expr *Rhs = parseAnd();
-      Lhs = Ctx->createExpr<BinaryExpr>(Loc, BinaryOp::LogicalOr, Lhs, Rhs);
+      Parsed Rhs = parseAnd();
+      Lhs = binary(Loc, BinaryOp::LogicalOr, Lhs, Rhs);
     }
     return Lhs;
   }
 
-  Expr *parseAnd() {
-    Expr *Lhs = parseNot();
+  Parsed parseAnd() {
+    Parsed Lhs = parseNot();
     while (check(TokenKind::KwAnd)) {
       SourceLoc Loc = advance().Loc;
-      Expr *Rhs = parseNot();
-      Lhs = Ctx->createExpr<BinaryExpr>(Loc, BinaryOp::LogicalAnd, Lhs, Rhs);
+      Parsed Rhs = parseNot();
+      Lhs = binary(Loc, BinaryOp::LogicalAnd, Lhs, Rhs);
     }
     return Lhs;
   }
 
-  Expr *parseNot() {
+  Parsed parseNot() {
     if (check(TokenKind::KwNot)) {
       SourceLoc Loc = advance().Loc;
-      Expr *Operand = parseNot();
-      return Ctx->createExpr<UnaryExpr>(Loc, UnaryOp::LogicalNot, Operand);
+      Parsed Operand = below([this] { return parseNot(); });
+      return node(
+          Ctx->createExpr<UnaryExpr>(Loc, UnaryOp::LogicalNot, Operand.E),
+          Operand.Height);
     }
     return parseRelational();
   }
@@ -454,18 +535,18 @@ private:
     }
   }
 
-  Expr *parseRelational() {
-    Expr *Lhs = parseAdditive();
+  Parsed parseRelational() {
+    Parsed Lhs = parseAdditive();
     if (auto Op = relationalOp(peek().Kind)) {
       SourceLoc Loc = advance().Loc;
-      Expr *Rhs = parseAdditive();
-      return Ctx->createExpr<BinaryExpr>(Loc, *Op, Lhs, Rhs);
+      Parsed Rhs = parseAdditive();
+      return binary(Loc, *Op, Lhs, Rhs);
     }
     return Lhs;
   }
 
-  Expr *parseAdditive() {
-    Expr *Lhs = parseMultiplicative();
+  Parsed parseAdditive() {
+    Parsed Lhs = parseMultiplicative();
     for (;;) {
       BinaryOp Op;
       if (check(TokenKind::Plus))
@@ -475,13 +556,13 @@ private:
       else
         return Lhs;
       SourceLoc Loc = advance().Loc;
-      Expr *Rhs = parseMultiplicative();
-      Lhs = Ctx->createExpr<BinaryExpr>(Loc, Op, Lhs, Rhs);
+      Parsed Rhs = parseMultiplicative();
+      Lhs = binary(Loc, Op, Lhs, Rhs);
     }
   }
 
-  Expr *parseMultiplicative() {
-    Expr *Lhs = parseUnary();
+  Parsed parseMultiplicative() {
+    Parsed Lhs = parseUnary();
     for (;;) {
       BinaryOp Op;
       if (check(TokenKind::Star))
@@ -493,52 +574,61 @@ private:
       else
         return Lhs;
       SourceLoc Loc = advance().Loc;
-      Expr *Rhs = parseUnary();
-      Lhs = Ctx->createExpr<BinaryExpr>(Loc, Op, Lhs, Rhs);
+      Parsed Rhs = parseUnary();
+      Lhs = binary(Loc, Op, Lhs, Rhs);
     }
   }
 
-  Expr *parseUnary() {
+  Parsed parseUnary() {
     if (check(TokenKind::Minus)) {
       SourceLoc Loc = advance().Loc;
-      Expr *Operand = parseUnary();
-      return Ctx->createExpr<UnaryExpr>(Loc, UnaryOp::Neg, Operand);
+      Parsed Operand = below([this] { return parseUnary(); });
+      return node(Ctx->createExpr<UnaryExpr>(Loc, UnaryOp::Neg, Operand.E),
+                  Operand.Height);
     }
     return parsePrimary();
   }
 
-  Expr *parsePrimary() {
+  Parsed parsePrimary() {
     SourceLoc Loc = peek().Loc;
     if (check(TokenKind::IntLiteral)) {
       int64_t Value = advance().IntValue;
-      return Ctx->createExpr<IntLitExpr>(Loc, Value);
+      return {Ctx->createExpr<IntLitExpr>(Loc, Value), 1};
     }
     if (check(TokenKind::Identifier)) {
       std::string Name(advance().Text);
       if (match(TokenKind::LParen)) {
-        Expr *Index = parseExpr();
+        Parsed Index = below([this] { return parseOr(); });
         expect(TokenKind::RParen, "after array subscript");
-        return Ctx->createExpr<ArrayRefExpr>(Loc, std::move(Name), Index);
+        return node(
+            Ctx->createExpr<ArrayRefExpr>(Loc, std::move(Name), Index.E),
+            Index.Height);
       }
-      return Ctx->createExpr<VarRefExpr>(Loc, std::move(Name));
+      return {Ctx->createExpr<VarRefExpr>(Loc, std::move(Name)), 1};
     }
     if (match(TokenKind::LParen)) {
-      Expr *Inner = parseExpr();
+      // The parenthesis is a level of its own: it bounds this recursion
+      // even though it builds no node.
+      Parsed Inner = below([this] { return parseOr(); });
       expect(TokenKind::RParen, "after parenthesized expression");
-      return Inner;
+      return {Inner.E, Inner.Height + 1};
     }
-    Diags.error(Loc, std::string("expected an expression, found ") +
-                         tokenKindName(peek().Kind));
+    error(Loc, std::string("expected an expression, found ") +
+             tokenKindName(peek().Kind));
     // Recover with a dummy literal so callers always get a node.
     if (!check(TokenKind::Newline) && !check(TokenKind::Eof))
       advance();
-    return Ctx->createExpr<IntLitExpr>(Loc, int64_t(0));
+    return {Ctx->createExpr<IntLitExpr>(Loc, int64_t(0)), 1};
   }
 
   DiagnosticEngine &Diags;
   std::unique_ptr<AstContext> Ctx;
   std::vector<Token> Tokens;
   size_t Pos = 0;
+  /// Depth of the node being parsed (see MaxAstDepth).
+  unsigned Depth = 0;
+  /// Set once the depth bound is exceeded; parsing stopped there.
+  bool TooDeep = false;
 };
 
 } // namespace

@@ -87,6 +87,65 @@ bool parseReport(const JsonValue &Rep, ReportOptions &Out,
   return true;
 }
 
+/// The canonical `config` object of \p Opts: every flag row, the
+/// always-written ones even at their default and the others only when
+/// set, so request lines from before a flag existed keep their bytes.
+JsonValue configToJson(const PipelineOptions &Opts) {
+  JsonValue Cfg = JsonValue::object();
+  Cfg.set("jf", jumpFunctionKindToken(Opts.Kind));
+  for (const AnalysisFlag &F : AnalysisFlags) {
+    bool V = Opts.*F.Member;
+    if (F.AlwaysWritten || V != flagDefault(F))
+      Cfg.set(F.Key, JsonValue(V));
+  }
+  Cfg.set("strategy", solverStrategyToken(Opts.Strategy));
+  return Cfg;
+}
+
+/// Reads a `config` object into \p Opts; absent members keep their
+/// value in \p Opts. Unknown and ill-typed members are rejected: a
+/// typo'd field silently analyzing under defaults is exactly the bug a
+/// wire format must not have.
+bool configFromJson(const JsonValue &Cfg, PipelineOptions &Opts,
+                    std::string &Error) {
+  for (const auto &[Key, V] : Cfg.members()) {
+    if (Key == "jf") {
+      std::optional<JumpFunctionKind> K =
+          V.isString() ? parseJumpFunctionKindToken(V.str()) : std::nullopt;
+      if (!K) {
+        Error = "config.jf must be " + jumpFunctionKindChoices();
+        return false;
+      }
+      Opts.Kind = *K;
+      continue;
+    }
+    if (Key == "strategy") {
+      std::optional<SolverStrategy> S =
+          V.isString() ? parseSolverStrategyToken(V.str()) : std::nullopt;
+      if (!S) {
+        Error = "config.strategy must be " + solverStrategyChoices();
+        return false;
+      }
+      Opts.Strategy = *S;
+      continue;
+    }
+    const AnalysisFlag *Flag = nullptr;
+    for (const AnalysisFlag &F : AnalysisFlags)
+      if (Key == F.Key)
+        Flag = &F;
+    if (!Flag) {
+      Error = "unknown config field '" + Key + "'";
+      return false;
+    }
+    if (!V.isBool()) {
+      Error = "config." + Key + " must be a boolean";
+      return false;
+    }
+    Opts.*Flag->Member = V.boolean();
+  }
+  return true;
+}
+
 } // namespace
 
 bool ipcp::parseServeRequest(const std::string &Line, ServeRequest &Out,
@@ -171,7 +230,7 @@ bool ipcp::parseServeRequest(const std::string &Line, ServeRequest &Out,
       Error = "'config' must be an object";
       return false;
     }
-    if (!configFromJson(*Cfg, ConfigSurface::Request, Out.Config, Error))
+    if (!configFromJson(*Cfg, Out.Config, Error))
       return false;
   }
   if (const JsonValue *Rep = Params->find("report"))
@@ -309,7 +368,7 @@ std::string ipcp::serializeServeRequest(const ServeRequest &Req) {
                      Req.Method == ServeMethod::AnalyzeSuiteProgram ||
                      Req.Method == ServeMethod::Validate;
   if (NeedsConfig) {
-    Params.set("config", configToJson(Req.Config, ConfigSurface::Request));
+    Params.set("config", configToJson(Req.Config));
 
     JsonValue Rep = JsonValue::object();
     Rep.set("quiet", JsonValue(Req.Report.Quiet));

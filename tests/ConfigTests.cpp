@@ -7,16 +7,14 @@
 /// \file
 /// Table-driven round trips over ipcp/AnalysisConfig.h: every flag row,
 /// jump-function kind and solver strategy, set alone, parses to the same
-/// PipelineOptions from the driver command line, a serve request line
-/// and (jump-function options only) a summary document; each surface
-/// re-serializes byte-identically; and the setting splits the reply-cache
-/// key and, for jump-function options, the session's jump-function base
-/// key from the default configuration.
+/// PipelineOptions from the driver command line and a serve request
+/// line; each surface re-serializes byte-identically; and the setting
+/// splits the reply-cache key and, for jump-function options, the
+/// session's jump-function base key from the default configuration.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "ipcp/AnalysisConfig.h"
-#include "ipcp/SummaryIO.h"
 #include "serve/Protocol.h"
 #include "serve/Render.h"
 
@@ -62,20 +60,12 @@ std::string requestLine(const PipelineOptions &Opts) {
   return serializeServeRequest(Req);
 }
 
-std::string summaryDoc(const JumpFunctionOptions &Opts) {
-  ProgramSummary S;
-  S.Program = "cfg";
-  S.Options = Opts;
-  return serializeSummary(S);
-}
-
 /// Checks every surface on \p Opts, a configuration that differs from
-/// the default in one field. \p InSummary: the field is a jump-function
-/// option. \p InJfBase: it also keys the session's jump-function base
-/// (every jump-function option but Kind, which the base is built
-/// without).
-void checkSurfaces(const PipelineOptions &Opts, bool InSummary,
-                   bool InJfBase, const std::string &What) {
+/// the default in one field. \p InJfBase: the field keys the session's
+/// jump-function base (every jump-function option but Kind, which the
+/// base is built without).
+void checkSurfaces(const PipelineOptions &Opts, bool InJfBase,
+                   const std::string &What) {
   SCOPED_TRACE(What);
   const PipelineOptions Default;
   const ReportOptions Report;
@@ -96,19 +86,6 @@ void checkSurfaces(const PipelineOptions &Opts, bool InSummary,
   EXPECT_EQ(requestLine(Back.Config), Line);
   EXPECT_NE(configKey(Opts, Report), configKey(Default, Report));
 
-  // Summary document: jump-function options travel in it; the others
-  // leave it untouched.
-  std::string Doc = summaryDoc(Opts);
-  ProgramSummary Parsed;
-  ASSERT_TRUE(parseSummary(Doc, Parsed, Error)) << Error;
-  EXPECT_EQ(summaryDoc(Parsed.Options), Doc);
-  if (InSummary) {
-    EXPECT_EQ(Parsed.Options,
-              static_cast<const JumpFunctionOptions &>(Opts));
-    EXPECT_NE(Doc, summaryDoc(Default));
-  } else {
-    EXPECT_EQ(Doc, summaryDoc(Default));
-  }
   EXPECT_EQ(jumpFunctionFlagBits(Opts) != jumpFunctionFlagBits(Default),
             InJfBase);
 }
@@ -119,7 +96,7 @@ TEST(AnalysisConfig, EveryFlagRoundTripsOnEverySurface) {
   for (const AnalysisFlag &F : AnalysisFlags) {
     PipelineOptions Opts;
     Opts.*F.Member = !flagDefault(F);
-    checkSurfaces(Opts, F.JumpFunctionOption, F.JumpFunctionOption, F.Key);
+    checkSurfaces(Opts, F.JumpFunctionOption, F.Key);
     PipelineResult Result;
     EXPECT_NE(renderAnalysisReport(Opts, Result, ReportOptions()),
               renderAnalysisReport(PipelineOptions(), Result, ReportOptions()))
@@ -133,27 +110,21 @@ TEST(AnalysisConfig, EveryKindAndStrategyRoundTrips) {
         JumpFunctionKind::PassThrough}) {
     PipelineOptions Opts;
     Opts.Kind = K;
-    checkSurfaces(Opts, /*InSummary=*/true, /*InJfBase=*/false,
-                  jumpFunctionKindToken(K));
+    checkSurfaces(Opts, /*InJfBase=*/false, jumpFunctionKindToken(K));
   }
   for (SolverStrategy S :
        {SolverStrategy::RoundRobin, SolverStrategy::BindingGraph}) {
     PipelineOptions Opts;
     Opts.Strategy = S;
-    checkSurfaces(Opts, /*InSummary=*/false, /*InJfBase=*/false,
-                  solverStrategyToken(S));
+    checkSurfaces(Opts, /*InJfBase=*/false, solverStrategyToken(S));
   }
 }
 
 TEST(AnalysisConfig, DefaultsAreElidedOnlyWhereTheTableSays) {
   std::string Line = requestLine(PipelineOptions());
-  std::string Doc = summaryDoc(JumpFunctionOptions());
   for (const AnalysisFlag &F : AnalysisFlags) {
     std::string Member = std::string("\"") + F.Key + "\":";
     EXPECT_EQ(Line.find(Member) != std::string::npos, F.AlwaysWritten)
-        << F.Key;
-    EXPECT_EQ(Doc.find(Member) != std::string::npos,
-              F.AlwaysWritten && F.JumpFunctionOption)
         << F.Key;
   }
 }
@@ -175,12 +146,4 @@ TEST(AnalysisConfig, RejectsBadSpellings) {
   EXPECT_EQ(parseConfigArg("--worklist", Opts, Error), ConfigArg::NotConfig);
   EXPECT_EQ(parseConfigArg("--rjf", Opts, Error), ConfigArg::NotConfig);
   EXPECT_EQ(Opts, PipelineOptions());
-
-  // A pipeline-only key is not part of the summary schema.
-  ProgramSummary S;
-  std::string Doc = summaryDoc(JumpFunctionOptions());
-  Doc.replace(Doc.find("\"gsa\""), 5, "\"complete\"");
-  EXPECT_FALSE(parseSummary(Doc, S, Error));
-  EXPECT_NE(Error.find("unknown config field 'complete'"), std::string::npos)
-      << Error;
 }

@@ -1,13 +1,16 @@
 # Driver CLI contract test, run via `cmake -P` (see tests/CMakeLists.txt).
 # Bad inputs must produce a diagnostic and a nonzero exit instead of
-# silently analyzing an empty program; --run/--validate and the summary
-# round trip must work; the --dump-* modes must agree with the analysis;
-# every analysis option must work with --dump-jf and survive the summary
-# round trip; options that no longer exist, in ipcp-driver or
-# ipcp-serve, must be rejected as unknown.
+# silently analyzing an empty program, and programs nested past the
+# parser's depth bound must get a diagnostic instead of a crash;
+# --run/--validate must work; the --dump-* modes must agree with the
+# analysis; every analysis option must work with --dump-jf and --stats;
+# options that no longer exist, in ipcp-driver or ipcp-serve, must be
+# rejected as unknown.
 
-if(NOT DEFINED DRIVER OR NOT DEFINED SERVE OR NOT DEFINED WORK_DIR)
-  message(FATAL_ERROR "DRIVER, SERVE and WORK_DIR must be defined")
+if(NOT DEFINED DRIVER OR NOT DEFINED SERVE OR NOT DEFINED WORK_DIR
+   OR NOT DEFINED MAX_AST_DEPTH)
+  message(FATAL_ERROR
+          "DRIVER, SERVE, WORK_DIR and MAX_AST_DEPTH must be defined")
 endif()
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -61,6 +64,13 @@ foreach(FLAG --shards=2 --shard-worker --shard-in=job --shard-out=result)
   expect_run(removed_${FLAG} nonzero "unknown option" "${FLAG}" "${GOOD_MF}")
 endforeach()
 
+# So are the write and read flags of the deleted jump-function summary
+# files.
+foreach(DIRECTION out in)
+  expect_run(removed_summary_${DIRECTION} nonzero "unknown option"
+             "--summary-${DIRECTION}=x" "${GOOD_MF}")
+endforeach()
+
 # So are the serve router's. stdin is a file, so a server that wrongly
 # accepted one would answer it and exit 0 instead of hanging.
 foreach(FLAG --router --backend=127.0.0.1:1 --spawn-backends=2
@@ -75,27 +85,11 @@ foreach(FLAG --router --backend=127.0.0.1:1 --spawn-backends=2
   endif()
 endforeach()
 
-# A jump-function summary written by --summary-out and read back by
-# --summary-in reproduces the local report.
-set(SUMMARY "${WORK_DIR}/good.summary.json")
-expect_run(summary_out zero "wrote summary" "--summary-out=${SUMMARY}"
-           "--stats" "${GOOD_MF}")
-expect_run(summary_local zero "" "--stats" "${GOOD_MF}")
-set(LOCAL_REPORT "${LAST_STDOUT}")
-expect_run(summary_in zero "" "--summary-in=${SUMMARY}" "--stats"
-           "${GOOD_MF}")
-if(NOT LAST_STDOUT STREQUAL LOCAL_REPORT)
-  set(FAILURES "${FAILURES}\nsummary_in: report differs from local mode")
-endif()
-expect_run(summary_both nonzero "mutually exclusive"
-           "--summary-out=${SUMMARY}" "--summary-in=${SUMMARY}" "${GOOD_MF}")
-expect_run(summary_complete nonzero "no reusable"
-           "--summary-in=${SUMMARY}" "--complete" "${GOOD_MF}")
-
 # The --dump-* modes show what the analysis works from. f's formal x is
 # bound to the global g, so the alias analysis makes both unknowable at
-# f's call of h: the summary (like the solver) stores bottom ("B") for
-# y and g there, and --dump-jf must print the same functions.
+# f's call of h: --dump-jf must show bottom for y and g there. The dump
+# lists a global only when its function is not bottom, as main's call
+# of f shows for g = 85, so the f -> h line must be exactly y=_|_.
 set(ALIAS_MF "${WORK_DIR}/alias.mf")
 file(WRITE "${ALIAS_MF}" "global g
 
@@ -114,22 +108,11 @@ proc h(y)
   print g
 end
 ")
-set(ALIAS_SUMMARY "${WORK_DIR}/alias.summary.json")
-expect_run(alias_summary zero "wrote summary"
-           "--summary-out=${ALIAS_SUMMARY}" "${ALIAS_MF}")
-file(READ "${ALIAS_SUMMARY}" ALIAS_DOC)
-string(JSON DEFAULT_CONFIG GET "${ALIAS_DOC}" config)
-string(JSON F_NAME GET "${ALIAS_DOC}" procs 1 name)
-string(JSON F_ARG GET "${ALIAS_DOC}" procs 1 sites 0 args 0)
-string(JSON F_GLOBAL GET "${ALIAS_DOC}" procs 1 sites 0 globals 0)
-if(NOT F_NAME STREQUAL "f" OR NOT F_ARG STREQUAL "B"
-   OR NOT F_GLOBAL STREQUAL "B")
-  set(FAILURES "${FAILURES}\nalias_summary: f -> h is not bottom for y and g")
-endif()
 expect_run(alias_dump_jf zero "" "--dump-jf" "${ALIAS_MF}")
+string(FIND "${LAST_STDOUT}" "main -> f: x=85 g=85\n" MAIN_AT)
 string(FIND "${LAST_STDOUT}" "\nf -> h: y=_|_\n" AT)
-if(AT EQUAL -1)
-  set(FAILURES "${FAILURES}\nalias_dump_jf: f -> h disagrees with the summary: '${LAST_STDOUT}'")
+if(MAIN_AT EQUAL -1 OR AT EQUAL -1)
+  set(FAILURES "${FAILURES}\nalias_dump_jf: f -> h is not bottom for y and g: '${LAST_STDOUT}'")
 endif()
 expect_run(dump_jf_no_mod zero "" "--no-mod" "--dump-jf" "${ALIAS_MF}")
 expect_run(dump_ssa zero "" "--dump-ssa" "${ALIAS_MF}")
@@ -140,10 +123,7 @@ if(LAST_STDOUT STREQUAL SSA_MOD)
 endif()
 
 # Every analysis option the usage text lists (the lines before
-# --emit-source) works with --dump-jf and survives the summary round
-# trip: the loaded summary reproduces the local report, and a summary
-# whose config differs from the default's refuses to load without the
-# option. --complete and --intra-only build no reusable jump functions.
+# --emit-source) works with --dump-jf and with the --stats report.
 execute_process(COMMAND ${DRIVER} --help
                 RESULT_VARIABLE RC
                 OUTPUT_QUIET
@@ -170,30 +150,59 @@ endif()
 foreach(FLAG ${CONFIG_FLAGS})
   string(MAKE_C_IDENTIFIER "${FLAG}" TAG)
   expect_run(dump_jf${TAG} zero "" "--dump-jf" "${FLAG}" "${ALIAS_MF}")
-  set(FLAG_SUMMARY "${WORK_DIR}/summary${TAG}.json")
-  if(FLAG STREQUAL "--complete" OR FLAG STREQUAL "--intra-only")
-    expect_run(summary_out${TAG} nonzero "no reusable"
-               "--summary-out=${FLAG_SUMMARY}" "${FLAG}" "${ALIAS_MF}")
-    continue()
-  endif()
-  expect_run(summary_out${TAG} zero "wrote summary"
-             "--summary-out=${FLAG_SUMMARY}" "${FLAG}" "${ALIAS_MF}")
-  expect_run(local${TAG} zero "" "--stats" "${FLAG}" "${ALIAS_MF}")
-  set(FLAG_REPORT "${LAST_STDOUT}")
-  expect_run(summary_in${TAG} zero "" "--summary-in=${FLAG_SUMMARY}"
-             "--stats" "${FLAG}" "${ALIAS_MF}")
-  if(NOT LAST_STDOUT STREQUAL FLAG_REPORT)
-    set(FAILURES "${FAILURES}\nsummary_in${TAG}: report differs from local mode")
-  endif()
-  file(READ "${FLAG_SUMMARY}" FLAG_DOC)
-  string(JSON FLAG_CONFIG GET "${FLAG_DOC}" config)
-  if(FLAG_CONFIG STREQUAL DEFAULT_CONFIG)
-    expect_run(summary_in_default${TAG} zero ""
-               "--summary-in=${FLAG_SUMMARY}" "${ALIAS_MF}")
+  expect_run(stats${TAG} zero "" "--stats" "${FLAG}" "${ALIAS_MF}")
+endforeach()
+
+# Programs nested past the parser's depth bound get a diagnostic and
+# exit 1, at the sizes that once overflowed the stack (exit 139); each
+# shape exactly at the bound is analyzed. The shapes are those of
+# tests/DeepPrograms.h: `a` at depth DEPTH inside g(a).
+function(deep_program NAME SHAPE DEPTH)
+  math(EXPR K "${DEPTH} - 2")
+  if(SHAPE STREQUAL "parens")
+    string(REPEAT "(" ${K} OPEN)
+    string(REPEAT ")" ${K} CLOSE)
+    set(BODY "  x = ${OPEN}a${CLOSE}\n  call f(x)\n")
+  elseif(SHAPE STREQUAL "ifs")
+    string(REPEAT "  if (a > 0) then\n" ${K} OPEN)
+    string(REPEAT "  end if\n" ${K} CLOSE)
+    set(BODY "${OPEN}  call f(a)\n${CLOSE}")
   else()
-    expect_run(summary_in_default${TAG} nonzero "different jump-function"
-               "--summary-in=${FLAG_SUMMARY}" "${ALIAS_MF}")
+    string(REPEAT " + a" ${K} TERMS)
+    set(BODY "  x = a${TERMS}\n  call f(x)\n")
   endif()
+  file(WRITE "${WORK_DIR}/${NAME}.mf" "proc main()
+  integer y
+  read y
+  call g(y)
+end
+proc g(a)
+  integer x
+${BODY}end
+proc f(v)
+  print v
+end
+")
+endfunction()
+math(EXPR PAST_BOUND "${MAX_AST_DEPTH} + 1")
+foreach(CASE parens:20000 ifs:5000 chain:10000)
+  string(REPLACE ":" ";" CASE "${CASE}")
+  list(GET CASE 0 SHAPE)
+  list(GET CASE 1 DEPTH)
+  foreach(D ${DEPTH} ${PAST_BOUND})
+    deep_program(deep_${SHAPE}_${D} ${SHAPE} ${D})
+    execute_process(COMMAND ${DRIVER} "${WORK_DIR}/deep_${SHAPE}_${D}.mf"
+                    RESULT_VARIABLE RC
+                    OUTPUT_QUIET
+                    ERROR_VARIABLE ERR)
+    if(NOT RC EQUAL 1 OR NOT ERR MATCHES "nests deeper than ${MAX_AST_DEPTH} levels")
+      set(FAILURES "${FAILURES}\ndeep_${SHAPE}_${D}: expected exit 1 and a depth diagnostic, got rc=${RC}: ${ERR}")
+    endif()
+  endforeach()
+  deep_program(bound_${SHAPE} ${SHAPE} ${MAX_AST_DEPTH})
+  expect_run(bound_${SHAPE} zero "" "--stats" "${WORK_DIR}/bound_${SHAPE}.mf")
+  expect_run(bound_complete_${SHAPE} zero "" "--complete"
+             "${WORK_DIR}/bound_${SHAPE}.mf")
 endforeach()
 
 # --run executes the program and prints its trace.

@@ -4,9 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ipcp/Pipeline.h"
 #include "lang/AstPrinter.h"
 #include "lang/Parser.h"
 
+#include "DeepPrograms.h"
 #include "TestHelpers.h"
 
 #include <gtest/gtest.h>
@@ -233,4 +235,87 @@ end
   std::string Once = roundTrip(Source);
   // Printing is a fixed point: print(parse(print(parse(s)))) == print(parse(s)).
   EXPECT_EQ(roundTrip(Once), Once);
+}
+
+//===----------------------------------------------------------------------===//
+// Nesting depth bound
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The parse errors of \p Source, or "" when it parses clean.
+std::string parseErrors(const std::string &Source) {
+  DiagnosticEngine Diags;
+  parseProgram(Source, Diags);
+  return Diags.str();
+}
+
+/// `x = - - ... - a`: the outermost minus at depth 2, `a` at Depth.
+std::string unaryChain(unsigned Depth) {
+  std::string Minuses;
+  for (unsigned I = 0; I != Depth - 2; ++I)
+    Minuses += "- ";
+  return wrapInG("  x = " + Minuses + "a\n  call f(x)\n");
+}
+
+} // namespace
+
+TEST(Parser, DepthBoundRejectsOneLevelPast) {
+  for (const DeepShape &S : deepShapes()) {
+    std::string Errors = parseErrors(S.Make(MaxAstDepth + 1));
+    EXPECT_NE(Errors.find("nests deeper than " + std::to_string(MaxAstDepth) +
+                          " levels"),
+              std::string::npos)
+        << S.Name << ": " << Errors;
+  }
+  EXPECT_NE(parseErrors(unaryChain(MaxAstDepth + 1)).find("nests deeper"),
+            std::string::npos);
+  EXPECT_EQ(parseErrors(unaryChain(MaxAstDepth)), "");
+}
+
+TEST(Parser, DepthBoundCountsStatementOperands) {
+  // MaxAstDepth - 1 nested `if (a)` put their conditions at depths up
+  // to the bound and the innermost statement at it, so any operand that
+  // statement has is one level past it.
+  auto AtBound = [](const std::string &Stmt) {
+    std::string Body;
+    for (unsigned I = 0; I != MaxAstDepth - 1; ++I)
+      Body += "  if (a) then\n";
+    Body += "  " + Stmt + "\n";
+    for (unsigned I = 0; I != MaxAstDepth - 1; ++I)
+      Body += "  end if\n";
+    return wrapInG(Body);
+  };
+  for (const char *Stmt : {"read x", "x = 1", "print x", "call f(x)"})
+    EXPECT_NE(parseErrors(AtBound(Stmt)).find("nests deeper"),
+              std::string::npos)
+        << Stmt;
+  EXPECT_EQ(parseErrors(AtBound("return")), "");
+}
+
+TEST(Parser, DepthBoundAcceptsAndAnalyzesAtBound) {
+  for (const DeepShape &S : deepShapes()) {
+    SCOPED_TRACE(S.Name);
+    std::string Source = S.Make(MaxAstDepth);
+    EXPECT_EQ(parseErrors(Source), "");
+    PipelineOptions Poly;
+    PipelineResult R = runPipeline(Source, Poly);
+    EXPECT_TRUE(R.Ok) << R.Error;
+    PipelineOptions Complete;
+    Complete.CompletePropagation = true;
+    R = runPipeline(Source, Complete);
+    EXPECT_TRUE(R.Ok) << R.Error;
+  }
+}
+
+TEST(Parser, DepthBoundStopsHugeNestingWithOneDiagnostic) {
+  // The sizes that overflowed the stack before the bound existed.
+  for (auto [S, Depth] : {std::pair(&nestedParens, 20000u),
+                          std::pair(&nestedIfs, 5000u),
+                          std::pair(&operatorChain, 10000u)}) {
+    DiagnosticEngine Diags;
+    parseProgram(S(Depth), Diags);
+    EXPECT_EQ(Diags.errorCount(), 1u) << Diags.str();
+    EXPECT_NE(Diags.str().find("nests deeper"), std::string::npos);
+  }
 }

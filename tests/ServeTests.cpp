@@ -19,6 +19,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "lang/Parser.h"
 #include "serve/Client.h"
 #include "serve/Json.h"
 #include "serve/Protocol.h"
@@ -26,6 +27,8 @@
 #include "serve/Server.h"
 #include "serve/Transport.h"
 #include "support/Cancellation.h"
+
+#include "DeepPrograms.h"
 
 #include <gtest/gtest.h>
 
@@ -312,6 +315,38 @@ TEST(ServeServer, FrontendErrorsAreAnalysisErrors) {
   // the reply is identical apart from the id.
   JsonValue R2 = parsedOk(S.handle(analyzeRequest("b1", "proc main(\nend\n")));
   EXPECT_EQ(errorKind(R2), "analysis-error");
+}
+
+TEST(ServeServer, DeepProgramGetsAnalysisError) {
+  Server S({.Workers = 1, .CacheCapacity = 16});
+  ASSERT_TRUE(parsedOk(S.handle(analyzeRequest("warm", SampleProgram)))
+                  .boolOr("ok", false));
+  // The sizes that once overflowed a worker's stack and took the whole
+  // process down, then each shape exactly at the parser's bound, which
+  // a worker analyzes.
+  for (auto [Make, Depth] : {std::pair(&test::nestedParens, 20000u),
+                             std::pair(&test::nestedIfs, 5000u),
+                             std::pair(&test::operatorChain, 10000u)}) {
+    JsonValue R = parsedOk(S.handle(analyzeRequest("deep", Make(Depth))));
+    EXPECT_EQ(errorKind(R), "analysis-error") << Depth;
+    EXPECT_NE(R.find("error")->strOr("message", "").find("nests deeper"),
+              std::string::npos);
+  }
+  for (const test::DeepShape &Shape : test::deepShapes())
+    EXPECT_TRUE(parsedOk(S.handle(analyzeRequest(
+                             "bound", Shape.Make(MaxAstDepth))))
+                    .boolOr("ok", false))
+        << Shape.Name;
+  // The server still serves, and the program analyzed before the abuse
+  // is still resident: its repeat is a reply-cache hit.
+  JsonValue Again = parsedOk(S.handle(analyzeRequest("again", SampleProgram)));
+  ASSERT_TRUE(Again.boolOr("ok", false));
+  EXPECT_TRUE(Again.find("result")->boolOr("cached", false));
+  JsonValue Stats = parsedOk(S.handle("{\"method\":\"stats\"}"));
+  const JsonValue *Cache = Stats.find("result")->find("cache");
+  EXPECT_EQ(Cache->intOr("reply_hits", -1), 1);
+  EXPECT_EQ(Cache->intOr("evictions", -1), 0);
+  EXPECT_EQ(Cache->intOr("entries", -1), 7);
 }
 
 TEST(ServeServer, UnknownSuiteProgramIsAnalysisError) {
