@@ -15,52 +15,47 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/CallGraph.h"
-#include "analysis/ModRef.h"
+#include "ipcp/AnalysisSession.h"
 #include "ipcp/Pipeline.h"
-#include "ir/CfgBuilder.h"
-#include "lang/Parser.h"
 #include "workloads/Suite.h"
 #include "workloads/Synthetic.h"
 
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <memory>
 
 using namespace ipcp;
 
 namespace {
 
+/// A checked program and its default jump functions, built on one
+/// session (which refers into Checked, so a Prepared is built in place).
 struct Prepared {
-  std::unique_ptr<AstContext> Ctx;
-  SymbolTable Symbols;
-  Module M;
-  std::unique_ptr<CallGraph> CG;
-  std::unique_ptr<ModRefInfo> MRI;
+  CheckedProgram Checked;
+  const SymbolTable &Symbols = Checked.Symbols;
+  std::unique_ptr<AnalysisSession> Session;
+  const CallGraph *CG = nullptr;
   ProgramJumpFunctions Jfs;
-};
 
-Prepared prepare(const std::string &Source) {
-  Prepared P;
-  DiagnosticEngine Diags;
-  P.Ctx = parseProgram(Source, Diags);
-  P.Symbols = Sema::run(*P.Ctx, Diags);
-  if (Diags.hasErrors()) {
-    Diags.print(std::cerr);
-    exit(1);
+  explicit Prepared(const std::string &Source)
+      : Checked(checkProgram(Source)) {
+    if (!Checked.ok()) {
+      std::cerr << Checked.Error;
+      exit(1);
+    }
+    Session =
+        std::make_unique<AnalysisSession>(*Checked.Ctx, Checked.Symbols);
+    CG = &Session->callGraph();
+    Jfs = buildJumpFunctions(*Session, JumpFunctionOptions());
   }
-  P.M = buildModule(P.Ctx->program(), P.Symbols);
-  P.CG = std::make_unique<CallGraph>(P.M, *P.Ctx->program().entryProc());
-  P.MRI = std::make_unique<ModRefInfo>(P.M, P.Symbols, *P.CG);
-  JumpFunctionOptions Opts;
-  P.Jfs = buildJumpFunctions(P.M, P.Symbols, *P.CG, P.MRI.get(), Opts);
-  return P;
-}
+  Prepared(Prepared &&) = delete;
+};
 
 void BM_Solver_synthetic(benchmark::State &State) {
   SyntheticSpec Spec;
   Spec.Procs = static_cast<int>(State.range(0));
-  Prepared P = prepare(generateSynthetic(Spec));
+  Prepared P(generateSynthetic(Spec));
   SolverStrategy Strategy =
       State.range(1) == 0   ? SolverStrategy::Worklist
       : State.range(1) == 1 ? SolverStrategy::RoundRobin
@@ -86,7 +81,7 @@ void BM_Solver_synthetic(benchmark::State &State) {
 /// startup, outside the timed region).
 bool strategiesAgree() {
   for (const WorkloadProgram &W : benchmarkSuite()) {
-    Prepared P = prepare(W.Source);
+    Prepared P(W.Source);
     SolveResult A =
         solveConstants(P.Symbols, *P.CG, P.Jfs, SolverStrategy::Worklist);
     SolveResult B = solveConstants(P.Symbols, *P.CG, P.Jfs,

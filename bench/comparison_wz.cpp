@@ -24,7 +24,7 @@
 
 #include "ipcp/Inliner.h"
 #include "ipcp/Pipeline.h"
-#include "lang/Parser.h"
+#include "lang/Sema.h"
 #include "support/TablePrinter.h"
 #include "workloads/Suite.h"
 
@@ -61,14 +61,12 @@ int main() {
 
   bool IntegrationAtLeastMatches = true;
   for (const WorkloadProgram &P : benchmarkSuite()) {
-    DiagnosticEngine Diags;
-    auto Ctx = parseProgram(P.Source, Diags);
-    SymbolTable Symbols = Sema::run(*Ctx, Diags);
-    if (Diags.hasErrors()) {
-      std::cerr << Diags.str();
+    CheckedProgram Checked = checkProgram(P.Source);
+    if (!Checked.ok()) {
+      std::cerr << Checked.Error;
       return 1;
     }
-    InlineResult Inlined = inlineProgram(*Ctx, Symbols);
+    InlineResult Inlined = inlineProgram(*Checked.Ctx, Checked.Symbols);
 
     Counts Jf = count(P.Source, PipelineOptions());
     PipelineOptions Intra;

@@ -11,53 +11,62 @@
 /// extra |support| factor that "approaches 1" in practice. This bench
 /// measures:
 ///   * construction time per kind (suite programs and synthetic scaling),
+///     each build on a fresh AnalysisSession with lowering, call graph,
+///     MOD and aliases built outside the timed region,
 ///   * interprocedural propagation time per kind,
 ///   * the average polynomial support size (reported as a counter).
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/CallGraph.h"
-#include "analysis/ModRef.h"
+#include "ipcp/AnalysisSession.h"
 #include "ipcp/Pipeline.h"
-#include "ir/CfgBuilder.h"
-#include "lang/Parser.h"
 #include "workloads/Suite.h"
 #include "workloads/Synthetic.h"
 
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <memory>
 
 using namespace ipcp;
 
 namespace {
 
-/// Everything that precedes jump-function generation, built once.
-struct Prepared {
-  std::unique_ptr<AstContext> Ctx;
-  SymbolTable Symbols;
-  Module M;
-  std::unique_ptr<CallGraph> CG;
-  std::unique_ptr<ModRefInfo> MRI;
-};
-
-Prepared prepare(const std::string &Source) {
-  Prepared P;
-  DiagnosticEngine Diags;
-  P.Ctx = parseProgram(Source, Diags);
-  if (Diags.hasErrors()) {
-    Diags.print(std::cerr);
+CheckedProgram prepare(const std::string &Source) {
+  CheckedProgram P = checkProgram(Source);
+  if (!P.ok()) {
+    std::cerr << P.Error;
     exit(1);
   }
-  P.Symbols = Sema::run(*P.Ctx, Diags);
-  if (Diags.hasErrors()) {
-    Diags.print(std::cerr);
-    exit(1);
-  }
-  P.M = buildModule(P.Ctx->program(), P.Symbols);
-  P.CG = std::make_unique<CallGraph>(P.M, *P.Ctx->program().entryProc());
-  P.MRI = std::make_unique<ModRefInfo>(P.M, P.Symbols, *P.CG);
   return P;
+}
+
+/// A fresh session over \p P with everything that precedes jump-function
+/// generation already built: lowering, call graph, MOD and aliases. SSA,
+/// value numbering and classification are left to the build.
+std::unique_ptr<AnalysisSession> freshSession(CheckedProgram &P,
+                                              const JumpFunctionOptions &Opts) {
+  auto S = std::make_unique<AnalysisSession>(*P.Ctx, P.Symbols);
+  S->callGraph();
+  S->modRef(Opts.UseMod);
+  S->refAlias(Opts.UseMod);
+  return S;
+}
+
+/// One cold jump-function build per iteration: each runs on a fresh
+/// session, whose setup and teardown stay outside the timed region.
+template <typename Body>
+void timeColdBuilds(benchmark::State &State, CheckedProgram &P,
+                    const JumpFunctionOptions &Opts, Body Run) {
+  for (auto _ : State) {
+    State.PauseTiming();
+    std::unique_ptr<AnalysisSession> S = freshSession(P, Opts);
+    State.ResumeTiming();
+    Run(*S);
+    State.PauseTiming();
+    S.reset();
+    State.ResumeTiming();
+  }
 }
 
 const std::string &suiteSource(const std::string &Name) {
@@ -83,18 +92,17 @@ JumpFunctionKind kindOf(int64_t Arg) {
 
 /// Construction cost per kind on the largest suite program (spec77).
 void BM_Construction_spec77(benchmark::State &State) {
-  static Prepared P = prepare(suiteSource("spec77"));
+  static CheckedProgram P = prepare(suiteSource("spec77"));
   JumpFunctionOptions Opts;
   Opts.Kind = kindOf(State.range(0));
   size_t Forward = 0;
   double AvgSupport = 0;
-  for (auto _ : State) {
-    ProgramJumpFunctions Jfs =
-        buildJumpFunctions(P.M, P.Symbols, *P.CG, P.MRI.get(), Opts);
+  timeColdBuilds(State, P, Opts, [&](AnalysisSession &S) {
+    ProgramJumpFunctions Jfs = buildJumpFunctions(S, Opts);
     Forward = Jfs.Stats.NumForward;
     AvgSupport = Jfs.Stats.avgPolySupport();
     benchmark::DoNotOptimize(Jfs);
-  }
+  });
   State.SetLabel(jumpFunctionKindName(Opts.Kind));
   State.counters["forward_jfs"] = double(Forward);
   State.counters["avg_poly_support"] = AvgSupport;
@@ -102,14 +110,15 @@ void BM_Construction_spec77(benchmark::State &State) {
 
 /// Propagation cost per kind on spec77 (jump functions prebuilt).
 void BM_Propagation_spec77(benchmark::State &State) {
-  static Prepared P = prepare(suiteSource("spec77"));
+  static CheckedProgram P = prepare(suiteSource("spec77"));
   JumpFunctionOptions Opts;
   Opts.Kind = kindOf(State.range(0));
-  ProgramJumpFunctions Jfs =
-      buildJumpFunctions(P.M, P.Symbols, *P.CG, P.MRI.get(), Opts);
+  std::unique_ptr<AnalysisSession> S = freshSession(P, Opts);
+  const CallGraph &CG = S->callGraph();
+  ProgramJumpFunctions Jfs = buildJumpFunctions(*S, Opts);
   unsigned Evals = 0;
   for (auto _ : State) {
-    SolveResult R = solveConstants(P.Symbols, *P.CG, Jfs);
+    SolveResult R = solveConstants(P.Symbols, CG, Jfs);
     Evals = R.JfEvaluations;
     benchmark::DoNotOptimize(R);
   }
@@ -135,16 +144,14 @@ void BM_EndToEnd_spec77(benchmark::State &State) {
 void BM_Scaling_synthetic(benchmark::State &State) {
   SyntheticSpec Spec;
   Spec.Procs = static_cast<int>(State.range(0));
-  std::string Source = generateSynthetic(Spec);
-  Prepared P = prepare(Source);
+  CheckedProgram P = prepare(generateSynthetic(Spec));
   JumpFunctionOptions Opts;
   Opts.Kind = JumpFunctionKind::Polynomial;
-  for (auto _ : State) {
-    ProgramJumpFunctions Jfs =
-        buildJumpFunctions(P.M, P.Symbols, *P.CG, P.MRI.get(), Opts);
-    SolveResult R = solveConstants(P.Symbols, *P.CG, Jfs);
+  timeColdBuilds(State, P, Opts, [&](AnalysisSession &S) {
+    ProgramJumpFunctions Jfs = buildJumpFunctions(S, Opts);
+    SolveResult R = solveConstants(P.Symbols, S.callGraph(), Jfs);
     benchmark::DoNotOptimize(R);
-  }
+  });
   State.SetComplexityN(State.range(0));
 }
 

@@ -17,7 +17,7 @@
 
 #include "exec/Interpreter.h"
 #include "exec/Oracle.h"
-#include "lang/Parser.h"
+#include "lang/Sema.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Suite.h"
 
@@ -32,23 +32,19 @@ namespace {
 
 /// A checked program bundle the benchmarks can run repeatedly.
 struct Runnable {
-  std::unique_ptr<AstContext> Ctx;
-  SymbolTable Symbols;
+  CheckedProgram Checked;
   std::unique_ptr<Interpreter> Interp;
 };
 
 Runnable prepare(const std::string &Source) {
   Runnable R;
-  DiagnosticEngine Diags;
-  R.Ctx = parseProgram(Source, Diags);
-  if (!Diags.hasErrors())
-    R.Symbols = Sema::run(*R.Ctx, Diags);
-  if (Diags.hasErrors()) {
-    Diags.print(std::cerr);
+  R.Checked = checkProgram(Source);
+  if (!R.Checked.ok()) {
+    std::cerr << R.Checked.Error;
     exit(1);
   }
-  R.Interp =
-      std::make_unique<Interpreter>(R.Ctx->program(), R.Symbols);
+  R.Interp = std::make_unique<Interpreter>(R.Checked.Ctx->program(),
+                                           R.Checked.Symbols);
   return R;
 }
 

@@ -35,7 +35,6 @@
 
 #include "exec/ExecEngine.h"
 #include "exec/Vm.h"
-#include "lang/Parser.h"
 #include "lang/Sema.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Suite.h"
@@ -121,17 +120,12 @@ void checkIdentical(const RunResult &A, const RunResult &V,
 std::vector<BenchProgram> loadPrograms(unsigned RandomSeeds) {
   std::vector<BenchProgram> Programs;
   auto add = [&](const std::string &Name, const std::string &Source) {
-    DiagnosticEngine Diags;
-    BenchProgram P;
-    P.Name = Name;
-    P.Ctx = parseProgram(Source, Diags);
-    if (!Diags.hasErrors())
-      P.Symbols = Sema::run(*P.Ctx, Diags);
-    if (Diags.hasErrors()) {
-      std::cerr << "FAIL: " << Name << " does not parse: " << Diags.str();
+    CheckedProgram C = checkProgram(Source);
+    if (!C.ok()) {
+      std::cerr << "FAIL: " << Name << " does not parse: " << C.Error;
       std::exit(1);
     }
-    Programs.push_back(std::move(P));
+    Programs.push_back({Name, std::move(C.Ctx), std::move(C.Symbols)});
   };
   add("kernel", kKernelSource);
   for (const WorkloadProgram &W : benchmarkSuite())

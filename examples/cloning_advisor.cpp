@@ -19,11 +19,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/CallGraph.h"
-#include "analysis/ModRef.h"
+#include "ipcp/AnalysisSession.h"
 #include "ipcp/Pipeline.h"
-#include "ir/CfgBuilder.h"
-#include "lang/Parser.h"
 
 #include <iostream>
 #include <map>
@@ -66,20 +63,18 @@ int main() {
   std::cout << "=== cloning advisor: constants lost to the meet ===\n\n"
             << Source << '\n';
 
-  DiagnosticEngine Diags;
-  auto Ctx = parseProgram(Source, Diags);
-  SymbolTable Symbols = Sema::run(*Ctx, Diags);
-  if (Diags.hasErrors()) {
-    Diags.print(std::cerr);
+  CheckedProgram Checked = checkProgram(Source);
+  if (!Checked.ok()) {
+    std::cerr << Checked.Error;
     return 1;
   }
+  const std::unique_ptr<AstContext> &Ctx = Checked.Ctx;
+  const SymbolTable &Symbols = Checked.Symbols;
 
-  Module M = buildModule(Ctx->program(), Symbols);
-  CallGraph CG(M, *Ctx->program().entryProc());
-  ModRefInfo MRI(M, Symbols, CG);
-  JumpFunctionOptions JfOpts;
-  ProgramJumpFunctions Jfs = buildJumpFunctions(M, Symbols, CG, &MRI,
-                                                JfOpts);
+  AnalysisSession Session(*Ctx, Symbols);
+  const CallGraph &CG = Session.callGraph();
+  ProgramJumpFunctions Jfs =
+      buildJumpFunctions(Session, JumpFunctionOptions());
   SolveResult Solve = solveConstants(Symbols, CG, Jfs);
 
   // For every BOTTOM cell, gather the per-edge values.

@@ -17,7 +17,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "ipcp/Pipeline.h"
-#include "lang/Parser.h"
 
 #include <iostream>
 
@@ -181,20 +180,20 @@ int main() {
   std::cout << "=== loop bounds: what a parallelizer learns from IPCP "
                "===\n\n";
 
-  DiagnosticEngine Diags;
-  auto Ctx = parseProgram(Source, Diags);
-  SymbolTable Symbols = Sema::run(*Ctx, Diags);
-  if (Diags.hasErrors()) {
-    Diags.print(std::cerr);
+  CheckedProgram Checked = checkProgram(Source);
+  if (!Checked.ok()) {
+    std::cerr << Checked.Error;
     return 1;
   }
+  AstContext &Ctx = *Checked.Ctx;
+  const SymbolTable &Symbols = Checked.Symbols;
 
   std::cout << "without interprocedural constants:\n";
-  LoopReport Before = analyze(*Ctx, Symbols, false, true);
+  LoopReport Before = analyze(Ctx, Symbols, false, true);
 
   std::cout << "\nwith interprocedural constants (polynomial + return "
                "JFs):\n";
-  LoopReport After = analyze(*Ctx, Symbols, true, true);
+  LoopReport After = analyze(Ctx, Symbols, true, true);
 
   std::cout << "\nsummary: " << Before.Known << "/"
             << Before.Known + Before.Unknown

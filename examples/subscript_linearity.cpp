@@ -20,7 +20,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "ipcp/Pipeline.h"
-#include "lang/Parser.h"
 
 #include <iostream>
 #include <set>
@@ -203,16 +202,16 @@ int main() {
   std::cout << "=== subscript linearity: the dependence-analysis payoff "
                "===\n\n";
 
-  DiagnosticEngine Diags;
-  auto Ctx = parseProgram(Source, Diags);
-  SymbolTable Symbols = Sema::run(*Ctx, Diags);
-  if (Diags.hasErrors()) {
-    Diags.print(std::cerr);
+  CheckedProgram Checked = checkProgram(Source);
+  if (!Checked.ok()) {
+    std::cerr << Checked.Error;
     return 1;
   }
+  AstContext &Ctx = *Checked.Ctx;
+  const SymbolTable &Symbols = Checked.Symbols;
 
-  SubscriptCounts Before = classify(*Ctx, Symbols, false);
-  SubscriptCounts After = classify(*Ctx, Symbols, true);
+  SubscriptCounts Before = classify(Ctx, Symbols, false);
+  SubscriptCounts After = classify(Ctx, Symbols, true);
 
   unsigned Total = Before.Linear + Before.Nonlinear;
   std::cout << "subscripts: " << Total << "\n";

@@ -56,8 +56,9 @@ RefAliasInfo::RefAliasInfo(const Module &M, const SymbolTable &Symbols,
   // Bind[P][I]: the variable locations (globals and caller locals,
   // program-wide unique SymbolIds) that formal I of procedure P may be
   // bound to by reference at some call site. Expression actuals bind to
-  // by-value temporaries and contribute nothing. A formal actual forwards
-  // its own binding set, so the sets close transitively over call chains;
+  // by-value temporaries and contribute nothing. A formal actual adds
+  // itself and forwards its own binding set, so the sets close
+  // transitively over call chains;
   // every call site in the module participates (reachability would only
   // shrink the sets, and conservatism is free here).
   std::vector<std::vector<LocSet>> Bind(NumProcs);
@@ -83,10 +84,13 @@ RefAliasInfo::RefAliasInfo(const Module &M, const SymbolTable &Symbols,
             if (!Actual.isVar())
               continue;
             const Symbol &S = Symbols.symbol(Actual.Sym);
+            // A formal actual names its own location too: bound only to
+            // a by-value temporary, its binding set is empty, yet passing
+            // it twice still aliases the two callee formals.
             if (S.Kind == SymbolKind::Formal)
               Changed |=
                   unionInto(CalleeBind[I], Bind[Caller][S.FormalIndex]);
-            else if (S.isScalar())
+            if (S.isScalar())
               Changed |= insertLoc(CalleeBind[I], Actual.Sym);
           }
         }

@@ -8,7 +8,7 @@
 
 #include "ipcp/Cloning.h"
 #include "ipcp/Inliner.h"
-#include "lang/Parser.h"
+#include "lang/Sema.h"
 
 #include <algorithm>
 #include <memory>
@@ -18,26 +18,6 @@
 using namespace ipcp;
 
 namespace {
-
-/// A parsed-and-checked program, or the diagnostics explaining why not.
-struct CheckedProgram {
-  std::unique_ptr<AstContext> Ctx;
-  SymbolTable Symbols;
-  std::string Error;
-
-  bool ok() const { return Error.empty(); }
-};
-
-CheckedProgram parseChecked(std::string_view Source) {
-  CheckedProgram P;
-  DiagnosticEngine Diags;
-  P.Ctx = parseProgram(Source, Diags);
-  if (!Diags.hasErrors())
-    P.Symbols = Sema::run(*P.Ctx, Diags);
-  if (Diags.hasErrors())
-    P.Error = Diags.str();
-  return P;
-}
 
 /// Collects failures, keeping only the first few descriptions.
 class FailureLog {
@@ -121,12 +101,12 @@ OracleResult ipcp::validateTranslation(std::string_view Source,
   FailureLog Failures;
 
   // Step 0: the reference program and the copy the analyzer may mutate.
-  CheckedProgram Ref = parseChecked(Source);
+  CheckedProgram Ref = checkProgram(Source);
   if (!Ref.ok()) {
     R.Error = "source does not parse: " + Ref.Error;
     return R;
   }
-  CheckedProgram Analyzed = parseChecked(Source);
+  CheckedProgram Analyzed = checkProgram(Source);
 
   PipelineOptions POpts = Opts.Pipeline;
   POpts.EmitTransformedSource = true;
@@ -158,7 +138,7 @@ OracleResult ipcp::validateTranslation(std::string_view Source,
   }
 
   // Step 3 prep: the transformed source must reparse cleanly.
-  CheckedProgram Transformed = parseChecked(P.TransformedSource);
+  CheckedProgram Transformed = checkProgram(P.TransformedSource);
   if (Opts.CheckTransformedSource && !Transformed.ok())
     Failures.add("transformed source does not reparse: " +
                  Transformed.Error);
@@ -167,7 +147,7 @@ OracleResult ipcp::validateTranslation(std::string_view Source,
   CheckedProgram Inlined;
   if (Opts.CheckInliner) {
     InlineResult IR = inlineProgram(*Ref.Ctx, Ref.Symbols);
-    Inlined = parseChecked(IR.Source);
+    Inlined = checkProgram(IR.Source);
     if (!Inlined.ok())
       Failures.add("inlined program does not reparse: " + Inlined.Error);
   }
@@ -177,7 +157,7 @@ OracleResult ipcp::validateTranslation(std::string_view Source,
     if (!CR.Ok) {
       Failures.add("cloning transform failed: " + CR.Error);
     } else {
-      Cloned = parseChecked(CR.Source);
+      Cloned = checkProgram(CR.Source);
       if (!Cloned.ok())
         Failures.add("cloned program does not reparse: " + Cloned.Error);
     }
@@ -193,7 +173,7 @@ OracleResult ipcp::validateTranslation(std::string_view Source,
                      Opts.Engine);
   if (Opts.CheckInliner && Inlined.ok())
     InRunner.emplace(Inlined.Ctx->program(), Inlined.Symbols, Opts.Engine);
-  if (Opts.CheckCloning && Cloned.ok() && Cloned.Ctx)
+  if (Opts.CheckCloning && Cloned.ok())
     ClRunner.emplace(Cloned.Ctx->program(), Cloned.Symbols, Opts.Engine);
 
   for (uint64_t Seed : Opts.ReadSeeds) {

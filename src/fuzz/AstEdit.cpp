@@ -7,7 +7,6 @@
 #include "fuzz/AstEdit.h"
 
 #include "lang/AstPrinter.h"
-#include "lang/Parser.h"
 #include "lang/Sema.h"
 #include "support/Casting.h"
 
@@ -58,20 +57,6 @@ std::vector<StmtListRef> ipcp::fuzz::collectStmtLists(Program &Prog) {
   return Out;
 }
 
-std::unique_ptr<AstContext>
-ipcp::fuzz::parseChecked(std::string_view Source, std::string *Error) {
-  DiagnosticEngine Diags;
-  auto Ctx = parseProgram(Source, Diags);
-  if (!Diags.hasErrors())
-    Sema::run(*Ctx, Diags);
-  if (Diags.hasErrors()) {
-    if (Error)
-      *Error = Diags.str();
-    return nullptr;
-  }
-  return Ctx;
-}
-
 std::string ipcp::fuzz::printProgram(const Program &Prog) {
   AstPrinter Printer;
   return Printer.programToString(Prog);
@@ -79,7 +64,7 @@ std::string ipcp::fuzz::printProgram(const Program &Prog) {
 
 std::optional<std::string>
 ipcp::fuzz::normalizeProgram(std::string_view Source) {
-  auto Ctx = parseChecked(Source);
+  auto Ctx = checkProgram(Source).Ctx;
   if (!Ctx)
     return std::nullopt;
   return printProgram(Ctx->program());

@@ -46,12 +46,6 @@ struct StmtListRef {
 /// procedure's body first, then the lists inside its nested statements.
 std::vector<StmtListRef> collectStmtLists(Program &Prog);
 
-/// Parses and sema-checks \p Source; returns the checked context or null
-/// when the program is not valid MiniFort (with the first diagnostic in
-/// \p Error when non-null).
-std::unique_ptr<AstContext> parseChecked(std::string_view Source,
-                                         std::string *Error = nullptr);
-
 /// Pretty-prints \p Prog back to source (no substitutions).
 std::string printProgram(const Program &Prog);
 

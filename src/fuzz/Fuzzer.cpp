@@ -13,7 +13,7 @@
 #include "fuzz/Reducer.h"
 #include "ipcp/Cloning.h"
 #include "ipcp/Inliner.h"
-#include "lang/Parser.h"
+#include "lang/Sema.h"
 #include "support/FuzzFeedback.h"
 #include "workloads/RandomProgram.h"
 
@@ -207,14 +207,10 @@ ipcp::evaluateProgram(const std::string &Source, FuzzFeedback &FB,
   if (Opts.CheckTransforms) {
     // Feature-record the transforms' decisions and require their output
     // to stay analyzable; behavioral equivalence is the oracle's job.
-    DiagnosticEngine Diags;
-    auto Ctx = parseProgram(Source, Diags);
-    SymbolTable Symbols;
-    if (!Diags.hasErrors())
-      Symbols = Sema::run(*Ctx, Diags);
-    if (Diags.hasErrors())
-      return makeFailure("pipeline-error", "frontend", Diags.str(), Source);
-    InlineResult Inlined = inlineProgram(*Ctx, Symbols);
+    CheckedProgram Checked = checkProgram(Source);
+    if (!Checked.ok())
+      return makeFailure("pipeline-error", "frontend", Checked.Error, Source);
+    InlineResult Inlined = inlineProgram(*Checked.Ctx, Checked.Symbols);
     FB.hit(FuzzFeature::InlinedCalls, Inlined.InlinedCalls);
     FB.hit(FuzzFeature::InlineSkippedRecursive, Inlined.SkippedRecursive);
     FB.hit(FuzzFeature::InlineSkippedHasReturn, Inlined.SkippedHasReturn);

@@ -9,6 +9,7 @@
 #include "fuzz/AstEdit.h"
 #include "fuzz/FuzzRng.h"
 #include "lang/AstClone.h"
+#include "lang/Sema.h"
 #include "support/Casting.h"
 
 #include <string>
@@ -41,7 +42,7 @@ struct EditContext {
   std::vector<DoSite> Dos;
 
   explicit EditContext(std::string_view Source) {
-    Ctx = parseChecked(Source);
+    Ctx = checkProgram(Source).Ctx;
     if (!Ctx)
       return;
     Prog = &Ctx->program();

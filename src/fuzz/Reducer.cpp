@@ -7,6 +7,7 @@
 #include "fuzz/Reducer.h"
 
 #include "fuzz/AstEdit.h"
+#include "lang/Sema.h"
 #include "support/Casting.h"
 
 #include <string>
@@ -91,7 +92,7 @@ private:
       Progress = false;
       std::vector<std::string> Names;
       {
-        auto Ctx = parseChecked(Current);
+        auto Ctx = checkProgram(Current).Ctx;
         for (const auto &P : Ctx->program().Procs)
           if (P->name() != "main")
             Names.push_back(P->name());
@@ -99,7 +100,7 @@ private:
       for (const std::string &Name : Names) {
         if (!budgetLeft())
           break;
-        auto Ctx = parseChecked(Current);
+        auto Ctx = checkProgram(Current).Ctx;
         Program &Prog = Ctx->program();
         for (StmtListRef &L : collectStmtLists(Prog)) {
           std::vector<Stmt *> Kept;
@@ -136,7 +137,7 @@ private:
       size_t NumLists;
       std::vector<size_t> ListSizes;
       {
-        auto Ctx = parseChecked(Current);
+        auto Ctx = checkProgram(Current).Ctx;
         auto Lists = collectStmtLists(Ctx->program());
         NumLists = Lists.size();
         for (const StmtListRef &L : Lists)
@@ -148,7 +149,7 @@ private:
             return Any;
           // Deleting first; hoisting only if the delete did not stick.
           for (int Hoist = 0; Hoist != 2 && !Progress; ++Hoist) {
-            auto Ctx = parseChecked(Current);
+            auto Ctx = checkProgram(Current).Ctx;
             auto Lists = collectStmtLists(Ctx->program());
             std::vector<Stmt *> Items = Lists[LI].Items;
             Stmt *S = Items[SI];
@@ -192,7 +193,7 @@ private:
       Progress = false;
       std::vector<std::pair<std::string, size_t>> Targets;
       {
-        auto Ctx = parseChecked(Current);
+        auto Ctx = checkProgram(Current).Ctx;
         for (const auto &P : Ctx->program().Procs)
           if (P->name() != "main")
             for (size_t F = P->formals().size(); F-- > 0;)
@@ -201,7 +202,7 @@ private:
       for (const auto &[Name, F] : Targets) {
         if (!budgetLeft())
           return Any;
-        auto Ctx = parseChecked(Current);
+        auto Ctx = checkProgram(Current).Ctx;
         Program &Prog = Ctx->program();
         auto Pid = Prog.findProc(Name);
         if (!Pid)
@@ -249,13 +250,13 @@ private:
       Progress = false;
       size_t NumCandidates;
       {
-        auto Ctx = parseChecked(Current);
+        auto Ctx = checkProgram(Current).Ctx;
         NumCandidates = countNonLitArgs(Ctx->program());
       }
       for (size_t N = 0; N != NumCandidates && !Progress; ++N) {
         if (!budgetLeft())
           return Any;
-        auto Ctx = parseChecked(Current);
+        auto Ctx = checkProgram(Current).Ctx;
         Program &Prog = Ctx->program();
         auto Lists = collectStmtLists(Prog);
         size_t Seen = 0;
@@ -311,13 +312,13 @@ private:
       Progress = false;
       size_t NumCandidates;
       {
-        auto Ctx = parseChecked(Current);
+        auto Ctx = checkProgram(Current).Ctx;
         NumCandidates = countDecls(Ctx->program());
       }
       for (size_t N = 0; N != NumCandidates && !Progress; ++N) {
         if (!budgetLeft())
           return Any;
-        auto Ctx = parseChecked(Current);
+        auto Ctx = checkProgram(Current).Ctx;
         if (!eraseDecl(Ctx->program(), N))
           continue;
         if (tryAdopt(printProgram(Ctx->program())))

@@ -113,11 +113,6 @@ const SsaForm::KillOracle &AnalysisSession::killOracleLocked(bool UseMod) {
   return *Slot;
 }
 
-const SsaForm::KillOracle &AnalysisSession::killOracle(bool UseMod) {
-  std::lock_guard<std::mutex> Lock(CoreMutex);
-  return killOracleLocked(UseMod);
-}
-
 const AnalysisSession::SsaBundle &AnalysisSession::ssa(ProcId P,
                                                        bool UseMod) {
   assert(P < NumProcs && "procedure id out of range");

@@ -131,9 +131,6 @@ public:
   /// summaries of the same setting.
   const CopyPropInfo &copyProp(bool UseMod);
 
-  /// The call kill oracle under the given MOD setting.
-  const SsaForm::KillOracle &killOracle(bool UseMod);
-
   /// Dominator tree + SSA of one procedure (SSA retains references to
   /// both the Function and the tree it was built over).
   struct SsaBundle {

@@ -6,12 +6,10 @@
 
 #include "ipcp/Cloning.h"
 
-#include "analysis/CallGraph.h"
+#include "ipcp/AnalysisSession.h"
 #include "ipcp/Solver.h"
-#include "ir/CfgBuilder.h"
 #include "lang/AstClone.h"
 #include "lang/AstPrinter.h"
-#include "lang/Parser.h"
 
 #include <map>
 #include <sstream>
@@ -24,23 +22,22 @@ namespace {
 /// transformed source in \p Source.
 bool cloneRound(std::string &Source, unsigned &ClonesCreated,
                 unsigned MaxClones, std::string &Error, int &NameCounter) {
-  DiagnosticEngine Diags;
-  auto Ctx = parseProgram(Source, Diags);
-  SymbolTable Symbols;
-  if (!Diags.hasErrors())
-    Symbols = Sema::run(*Ctx, Diags);
-  if (Diags.hasErrors()) {
-    Error = Diags.str();
+  CheckedProgram Checked = checkProgram(Source);
+  if (!Checked.ok()) {
+    Error = std::move(Checked.Error);
     return false;
   }
 
-  Program &Prog = Ctx->program();
-  Module M = buildModule(Prog, Symbols);
-  CallGraph CG(M, *Prog.entryProc());
-  ModRefInfo MRI(M, Symbols, CG);
-  JumpFunctionOptions JfOpts;
-  ProgramJumpFunctions Jfs = buildJumpFunctions(M, Symbols, CG, &MRI,
-                                                JfOpts);
+  AstContext &Ctx = *Checked.Ctx;
+  const SymbolTable &Symbols = Checked.Symbols;
+  Program &Prog = Ctx.program();
+  // The session only reads the program: clones are appended after the
+  // last analysis query below.
+  AnalysisSession Session(Ctx, Symbols);
+  const Module &M = Session.module();
+  const CallGraph &CG = Session.callGraph();
+  ProgramJumpFunctions Jfs =
+      buildJumpFunctions(Session, JumpFunctionOptions());
   SolveResult Solve = solveConstants(Symbols, CG, Jfs);
 
   // Per procedure: the constant-vector signature each call site
@@ -150,7 +147,7 @@ bool cloneRound(std::string &Source, unsigned &ClonesCreated,
       Clone->LocalArrays = Orig.LocalArrays;
       for (ArrayDecl &A : Clone->LocalArrays)
         A.Symbol = InvalidSymbol; // Re-resolved by the next round's Sema.
-      Clone->Body = cloneStmts(*Ctx, Orig.Body, NameSubst());
+      Clone->Body = cloneStmts(Ctx, Orig.Body, NameSubst());
       NewProcs.push_back(std::move(Clone));
       ++ClonesCreated;
       AnyClone = true;

@@ -65,13 +65,20 @@ public:
 private:
   using NameMap = std::unordered_map<std::string, std::string>;
 
+  /// Charges \p Name, about to be emitted, against the budget: one unit
+  /// per started NameBytesPerUnit bytes.
+  const std::string &charge(const std::string &Name) {
+    Emitted += (Name.size() + NameBytesPerUnit - 1) / NameBytesPerUnit;
+    return Name;
+  }
+
   std::string freshName(const std::string &Base) {
-    return Base + "__i" + std::to_string(++Counter);
+    return charge(Base + "__i" + std::to_string(++Counter));
   }
 
   std::string substName(const NameMap &Subst, const std::string &Name) {
     auto It = Subst.find(Name);
-    return It == Subst.end() ? Name : It->second;
+    return charge(It == Subst.end() ? Name : It->second);
   }
 
   Expr *cloneExpr(const Expr *E, const NameMap &Subst);
@@ -98,7 +105,9 @@ private:
   std::vector<IntegratedProc> Integrated;
   std::vector<uint8_t> Recursive;
   std::vector<uint8_t> Done; ///< Procedure already integrated.
-  size_t ClonedStmts = 0;
+  static constexpr size_t NameBytesPerUnit = 16;
+  /// Budget units emitted so far (see InlineOptions::MaxProgramStmts).
+  size_t Emitted = 0;
   bool BudgetExhausted = false;
   int Counter = 0;
   InlineResult Result;
@@ -160,7 +169,7 @@ void Inliner::spliceCall(ProcId Host, ProcId Callee,
     auto *Target = Work.createExpr<VarRefExpr>(Actual->loc(), Temp);
     Out.push_back(Work.createStmt<AssignStmt>(Actual->loc(), Target,
                                               Actual));
-    ++ClonedStmts;
+    ++Emitted;
     Subst[CalleeProc.formals()[I]] = Temp;
   }
   for (const std::string &Local : CalleeProc.Locals) {
@@ -198,7 +207,7 @@ std::vector<Stmt *> Inliner::cloneStmts(ProcId Host,
       std::vector<Expr *> Args;
       for (const Expr *Arg : C->args())
         Args.push_back(cloneExpr(Arg, Subst));
-      if (ClonedStmts >= Opts.MaxProgramStmts)
+      if (Emitted >= Opts.MaxProgramStmts)
         BudgetExhausted = true;
       if (shouldInline(C->callee())) {
         spliceCall(Host, C->callee(), std::move(Args), Out);
@@ -217,7 +226,7 @@ std::vector<Stmt *> Inliner::cloneStmts(ProcId Host,
       // cloneStmts pass indexes Recursive/Integrated by callee() again.
       Kept->setCallee(C->callee());
       Out.push_back(Kept);
-      ++ClonedStmts;
+      ++Emitted;
       continue;
     }
     Out.push_back(cloneStmt(Host, S, Subst));
@@ -226,7 +235,7 @@ std::vector<Stmt *> Inliner::cloneStmts(ProcId Host,
 }
 
 Stmt *Inliner::cloneStmt(ProcId Host, const Stmt *S, const NameMap &Subst) {
-  ++ClonedStmts;
+  ++Emitted;
   switch (S->kind()) {
   case StmtKind::Assign: {
     const auto *A = cast<AssignStmt>(S);

@@ -35,8 +35,12 @@ namespace ipcp {
 
 /// Limits for one inlining run.
 struct InlineOptions {
-  /// Stop cloning once the whole program holds this many statements
-  /// (code-growth safety valve; generous by default).
+  /// Stop cloning once the inliner has emitted this many units: one per
+  /// statement, plus one per started 16 bytes of every name it declares
+  /// or writes into a statement (code-growth safety valve; generous by
+  /// default). Names count because a renamed temporary grows by one
+  /// suffix per inlined level: down a call chain of length n the
+  /// statements grow as n^2, but the text as n^3.
   size_t MaxProgramStmts = 500000;
 };
 

@@ -9,7 +9,6 @@
 #include "analysis/CopyProp.h"
 #include "analysis/FlowAlias.h"
 #include "ipcp/AnalysisSession.h"
-#include "ir/Dominators.h"
 #include "support/ThreadPool.h"
 
 #include <cassert>
@@ -168,60 +167,49 @@ ipcp::callAdjacencyWaves(const CallGraph &CG,
 namespace {
 
 /// Shared read-only inputs of the per-procedure builders.
-struct BuildContext {
+struct BuildInputs {
   const Module &M;
   const SymbolTable &Symbols;
   const CallGraph &CG;
   const ModRefInfo *MRI;
   const JumpFunctionOptions &Opts;
-  const SsaForm::KillOracle &KillOracle;
-  const KillValueFn *VnKillFnPtr;
-  const RefAliasInfo *Aliases;
+  const RefAliasInfo &Aliases;
   const FlowAliasInfo *FlowAliases;
   const CopyPropInfo *CopyFacts;
-  ProgramJumpFunctions &Jfs;
-  AnalysisSession *Session;
-
-  const std::vector<uint8_t> *unstableMask(ProcId P) const {
-    return Aliases ? &Aliases->unstableMask(P) : nullptr;
-  }
+  AnalysisSession &Session;
 
   /// The precision options of procedure \p P's numbering: in
   /// flow-sensitive mode the per-point dirty facts replace the
-  /// whole-procedure mask (at most one of the two is set); copy facts
+  /// whole-procedure mask (exactly one of the two is set); copy facts
   /// compose with either.
   VnPrecision precision(ProcId P) const {
     VnPrecision Prec;
-    if (Opts.FlowSensitiveAlias && FlowAliases)
+    if (Opts.FlowSensitiveAlias)
       Prec.Flow = &FlowAliases->proc(P);
     else
-      Prec.Unstable = unstableMask(P);
+      Prec.Unstable = &Aliases.unstableMask(P);
     Prec.Optimistic = Opts.OptimisticVn;
-    if (Opts.CopyPropagation && CopyFacts)
+    if (Opts.CopyPropagation)
       Prec.Copy = &CopyFacts->proc(P);
     return Prec;
   }
 };
 
-/// Dominator tree + SSA of one procedure: the session's cached bundle,
-/// or a locally built pair kept alive by the out-params.
-struct SsaView {
-  const DominatorTree *DT;
-  const SsaForm *Ssa;
+/// The inputs plus the jump functions being built, and the kill callback
+/// evaluating their return jump functions (null without them).
+struct BuildContext : BuildInputs {
+  ProgramJumpFunctions &Jfs;
+  const KillValueFn *VnKillFnPtr;
 };
 
-SsaView getSsa(const BuildContext &BC, ProcId P,
-               std::optional<DominatorTree> &LocalDT,
-               std::optional<SsaForm> &LocalSsa) {
-  if (BC.Session) {
-    const AnalysisSession::SsaBundle &B =
-        BC.Session->ssa(P, BC.Opts.UseMod);
-    return {&B.DT, &B.Ssa};
-  }
-  const Function &F = BC.M.function(P);
-  LocalDT.emplace(F);
-  LocalSsa.emplace(F, BC.Symbols, *LocalDT, BC.KillOracle);
-  return {&*LocalDT, &*LocalSsa};
+/// Value-numbers procedure \p P over the session's SSA into \p Into.
+const ValueNumbering &numberProc(const BuildContext &BC, ProcId P,
+                                 AnalysisSession::VnBundle &Into) {
+  const AnalysisSession::SsaBundle &SB = BC.Session.ssa(P, BC.Opts.UseMod);
+  Into.VN.emplace(SB.Ssa, BC.Symbols, Into.Ctx, BC.VnKillFnPtr,
+                  BC.Opts.UseGatedSsa ? &SB.DT : nullptr, BC.precision(P));
+  BC.Session.counters().VnBuilt.fetch_add(1, std::memory_order_relaxed);
+  return *Into.VN;
 }
 
 /// Stage 1 for one procedure: fills Jfs.ReturnJfs[P]. Reads only the
@@ -232,21 +220,11 @@ SsaView getSsa(const BuildContext &BC, ProcId P,
 JumpFunctionStats buildReturnJfsForProc(const BuildContext &BC, ProcId P,
                                         AnalysisSession::VnBundle *CacheInto) {
   JumpFunctionStats Stats;
-  std::optional<DominatorTree> LocalDT;
-  std::optional<SsaForm> LocalSsa;
-  SsaView View = getSsa(BC, P, LocalDT, LocalSsa);
-  const SsaForm &Ssa = *View.Ssa;
-  std::optional<VnContext> LocalCtx;
-  std::optional<ValueNumbering> LocalVN;
-  auto &VnSlot = CacheInto ? CacheInto->VN : LocalVN;
-  VnSlot.emplace(Ssa, BC.Symbols,
-                 CacheInto ? CacheInto->Ctx : LocalCtx.emplace(),
-                 BC.VnKillFnPtr, BC.Opts.UseGatedSsa ? View.DT : nullptr,
-                 BC.precision(P));
-  const ValueNumbering &VN = *VnSlot;
+  std::optional<AnalysisSession::VnBundle> Local;
+  const ValueNumbering &VN =
+      numberProc(BC, P, CacheInto ? *CacheInto : Local.emplace());
+  const SsaForm &Ssa = VN.ssa();
   Stats.NumGvnPhiMerges += VN.numOptimisticPhiMerges();
-  if (BC.Session)
-    BC.Session->counters().VnBuilt.fetch_add(1, std::memory_order_relaxed);
 
   auto &Out = BC.Jfs.ReturnJfs[P];
   const auto &ExitSyms = Ssa.exitSymbols();
@@ -298,30 +276,14 @@ JumpFunctionStats buildForwardJfsForProc(const BuildContext &BC, ProcId P,
   // information" (§3.1.5) — so it skips SSA and value numbering
   // entirely; every other kind pays for them.
   bool LiteralOnly = BC.Opts.Kind == JumpFunctionKind::Literal;
-  std::optional<DominatorTree> LocalDT;
-  std::optional<SsaForm> LocalSsa;
-  std::optional<VnContext> Ctx;
-  std::optional<ValueNumbering> LocalVN;
-  const SsaForm *Ssa = nullptr;
+  std::optional<AnalysisSession::VnBundle> Local;
   const ValueNumbering *VN = nullptr;
   if (!LiteralOnly) {
     if (CachedVN) {
       VN = CachedVN;
-      Ssa = &CachedVN->ssa();
-      if (BC.Session)
-        BC.Session->counters().VnReused.fetch_add(1,
-                                                  std::memory_order_relaxed);
+      BC.Session.counters().VnReused.fetch_add(1, std::memory_order_relaxed);
     } else {
-      SsaView View = getSsa(BC, P, LocalDT, LocalSsa);
-      Ssa = View.Ssa;
-      Ctx.emplace();
-      LocalVN.emplace(*Ssa, BC.Symbols, *Ctx, BC.VnKillFnPtr,
-                      BC.Opts.UseGatedSsa ? View.DT : nullptr,
-                      BC.precision(P));
-      VN = &*LocalVN;
-      if (BC.Session)
-        BC.Session->counters().VnBuilt.fetch_add(1,
-                                                 std::memory_order_relaxed);
+      VN = &numberProc(BC, P, Local.emplace());
     }
     // Count as a fresh build would: a cached numbering is provably
     // identical to the rebuild it stands in for.
@@ -395,85 +357,6 @@ JumpFunctionStats buildForwardJfsForProc(const BuildContext &BC, ProcId P,
   return Stats;
 }
 
-void foldStats(JumpFunctionStats &Into, const JumpFunctionStats &S);
-
-/// Runs stage 1 over \p Order, either serially or in call-adjacency
-/// waves over \p Pool, folding the per-procedure stat deltas in serial
-/// order. \p CacheFor(P) returns the bundle to construct P's value
-/// numbering into (null = stack-local).
-template <typename CacheForFn>
-void runStage1(const BuildContext &BC, ThreadPool *Pool,
-               JumpFunctionStats &Into, CacheForFn CacheFor) {
-  const auto &Order = BC.CG.bottomUpOrder();
-  std::vector<JumpFunctionStats> PerProc(Order.size());
-  auto BuildAt = [&](size_t I) {
-    ProcId P = Order[I];
-    PerProc[I] = buildReturnJfsForProc(BC, P, CacheFor(P));
-  };
-  if (!Pool) {
-    for (size_t I = 0; I != Order.size(); ++I)
-      BuildAt(I);
-  } else {
-    for (const auto &WaveIdx : callAdjacencyWaves(BC.CG, Order))
-      parallelFor(Pool, WaveIdx.size(),
-                  [&](size_t I) { BuildAt(WaveIdx[I]); });
-  }
-  for (const JumpFunctionStats &S : PerProc)
-    foldStats(Into, S);
-}
-
-/// Builds the configuration-independent base shared by every
-/// jump-function build with the same (UseMod, UseRjf, UseGatedSsa): the
-/// stage-1 return jump functions, and one value numbering per procedure
-/// wherever a later stage-2 rebuild would provably reproduce it — every
-/// non-recursive procedure when return jump functions are on (bottom-up
-/// order guarantees its callees' RJFs were complete when its numbering
-/// ran), and every procedure when they are off (the numbering then has
-/// no RJF input at all).
-void buildJfBase(AnalysisSession::JfBase &B, const Module &M,
-                 const SymbolTable &Symbols, const CallGraph &CG,
-                 const ModRefInfo *MRI, const JumpFunctionOptions &Opts,
-                 const RefAliasInfo *Aliases, const FlowAliasInfo *FlowAliases,
-                 const CopyPropInfo *CopyFacts, ThreadPool *Pool,
-                 AnalysisSession *Session) {
-  B.Skeleton.PerSite.resize(M.Functions.size());
-  B.Skeleton.ReturnJfs.resize(M.Functions.size());
-  B.Vn.resize(M.Functions.size());
-
-  const SsaForm::KillOracle &KillOracle = Session->killOracle(Opts.UseMod);
-  KillValueFn VnKillFn = makeVnKillFn(B.Skeleton, Symbols);
-  const KillValueFn *VnKillFnPtr =
-      Opts.UseReturnJumpFunctions ? &VnKillFn : nullptr;
-  BuildContext BC{M,           Symbols, CG,          MRI,        Opts,
-                  KillOracle,  VnKillFnPtr, Aliases, FlowAliases, CopyFacts,
-                  B.Skeleton,  Session};
-
-  if (Opts.UseReturnJumpFunctions) {
-    runStage1(BC, Pool, B.Skeleton.Stats,
-              [&](ProcId P) -> AnalysisSession::VnBundle * {
-                if (CG.isRecursive(P))
-                  return nullptr;
-                B.Vn[P] = std::make_unique<AnalysisSession::VnBundle>();
-                return B.Vn[P].get();
-              });
-    return;
-  }
-
-  // No stage 1: cache a kill-free numbering per reachable procedure so
-  // every configuration sharing this base skips the rebuild.
-  const auto &Order = CG.topDownOrder();
-  parallelFor(Pool, Order.size(), [&](size_t I) {
-    ProcId P = Order[I];
-    auto Bundle = std::make_unique<AnalysisSession::VnBundle>();
-    const AnalysisSession::SsaBundle &SB = Session->ssa(P, Opts.UseMod);
-    Bundle->VN.emplace(SB.Ssa, Symbols, Bundle->Ctx, nullptr,
-                       Opts.UseGatedSsa ? &SB.DT : nullptr,
-                       BC.precision(P));
-    Session->counters().VnBuilt.fetch_add(1, std::memory_order_relaxed);
-    B.Vn[P] = std::move(Bundle);
-  });
-}
-
 void foldStats(JumpFunctionStats &Into, const JumpFunctionStats &S) {
   Into.NumForward += S.NumForward;
   Into.NumForwardConst += S.NumForwardConst;
@@ -488,6 +371,68 @@ void foldStats(JumpFunctionStats &Into, const JumpFunctionStats &S) {
   Into.NumReturnPoly += S.NumReturnPoly;
   Into.NumReturnBottom += S.NumReturnBottom;
   Into.NumGvnPhiMerges += S.NumGvnPhiMerges;
+}
+
+/// Builds the configuration-independent base shared by every
+/// jump-function build with the same jump-function flags: the stage-1
+/// return jump functions, and one value numbering per procedure wherever
+/// a later stage-2 rebuild would provably reproduce it — every
+/// non-recursive procedure when return jump functions are on (bottom-up
+/// order guarantees its callees' RJFs were complete when its numbering
+/// ran), and every procedure when they are off (the numbering then has
+/// no RJF input at all).
+void buildJfBase(AnalysisSession::JfBase &B, const BuildInputs &In,
+                 ThreadPool *Pool) {
+  size_t NumProcs = In.M.Functions.size();
+  B.Skeleton.PerSite.resize(NumProcs);
+  B.Skeleton.ReturnJfs.resize(NumProcs);
+  B.Vn.resize(NumProcs);
+
+  KillValueFn VnKillFn = makeVnKillFn(B.Skeleton, In.Symbols);
+  bool UseRjf = In.Opts.UseReturnJumpFunctions;
+  BuildContext BC{In, B.Skeleton, UseRjf ? &VnKillFn : nullptr};
+
+  if (!UseRjf) {
+    // No stage 1: cache a kill-free numbering per reachable procedure so
+    // every configuration sharing this base skips the rebuild.
+    const auto &Order = In.CG.topDownOrder();
+    parallelFor(Pool, Order.size(), [&](size_t I) {
+      ProcId P = Order[I];
+      auto Bundle = std::make_unique<AnalysisSession::VnBundle>();
+      numberProc(BC, P, *Bundle);
+      B.Vn[P] = std::move(Bundle);
+    });
+    return;
+  }
+
+  // Stage 1: return jump functions, bottom-up so callee RJFs are ready
+  // when a caller's value numbering wants them. Within a recursive SCC
+  // the not-yet-built callee RJFs simply read as bottom (conservative).
+  // In parallel mode, call-adjacent procedures run in separate ordered
+  // waves so each procedure observes exactly the serial schedule's view
+  // of its neighbours' RJF maps. Per-procedure stat deltas fold in the
+  // serial order.
+  const auto &Order = In.CG.bottomUpOrder();
+  std::vector<JumpFunctionStats> PerProc(Order.size());
+  auto BuildAt = [&](size_t I) {
+    ProcId P = Order[I];
+    AnalysisSession::VnBundle *CacheInto = nullptr;
+    if (!In.CG.isRecursive(P)) {
+      B.Vn[P] = std::make_unique<AnalysisSession::VnBundle>();
+      CacheInto = B.Vn[P].get();
+    }
+    PerProc[I] = buildReturnJfsForProc(BC, P, CacheInto);
+  };
+  if (!Pool) {
+    for (size_t I = 0; I != Order.size(); ++I)
+      BuildAt(I);
+  } else {
+    for (const auto &WaveIdx : callAdjacencyWaves(In.CG, Order))
+      parallelFor(Pool, WaveIdx.size(),
+                  [&](size_t I) { BuildAt(WaveIdx[I]); });
+  }
+  for (const JumpFunctionStats &S : PerProc)
+    foldStats(B.Skeleton.Stats, S);
 }
 
 } // namespace
@@ -508,82 +453,57 @@ ProgramJumpFunctions ipcp::buildJumpFunctions(
     const ModRefInfo *MRI, const JumpFunctionOptions &Opts,
     const RefAliasInfo *Aliases, ThreadPool *Pool, AnalysisSession *Session,
     const FlowAliasInfo *FlowAliases, const CopyPropInfo *CopyFacts) {
+  assert(Session && "jump functions are built over an analysis session");
+  assert(&Symbols == &Session->symbols() &&
+         "the inputs must come from the session");
   assert((Opts.UseMod == (MRI != nullptr)) &&
          "MOD info must be supplied exactly when UseMod is set");
-  assert((!Opts.FlowSensitiveAlias || FlowAliases || !Aliases) &&
+  assert(Aliases && "by-reference alias facts are required");
+  assert((!Opts.FlowSensitiveAlias || FlowAliases) &&
          "flow-sensitive mode needs the flow alias facts");
   assert((!Opts.CopyPropagation || CopyFacts) &&
          "copy mode needs the copy propagation facts");
+  BuildInputs In{M,       Symbols,     CG,        MRI,     Opts,
+                 *Aliases, FlowAliases, CopyFacts, *Session};
 
+  // Stage 1 lives in the session's shared base: built once per setting
+  // of the jump-function flags, then its return jump functions
+  // (JumpFunction is move-only, so clone) and stage-1 stats are copied
+  // into this configuration's result. Return jump functions are built
+  // even without MOD summaries: the bottom-up value numbering then runs
+  // under worst-case call effects, so only leaf-ish procedures keep
+  // precise ones — which is how the paper's "without MOD" column still
+  // benefits from them.
+  const AnalysisSession::JfBase &Base = Session->jfBase(
+      Opts, [&](AnalysisSession::JfBase &B) { buildJfBase(B, In, Pool); });
   ProgramJumpFunctions Jfs;
   Jfs.PerSite.resize(M.Functions.size());
   Jfs.ReturnJfs.resize(M.Functions.size());
+  for (size_t P = 0, E = Base.Skeleton.ReturnJfs.size(); P != E; ++P)
+    for (const auto &[Sym, J] : Base.Skeleton.ReturnJfs[P])
+      Jfs.ReturnJfs[P].emplace(Sym, J.clone());
+  foldStats(Jfs.Stats, Base.Skeleton.Stats);
 
-  // Return jump functions are built even without MOD summaries: the
-  // bottom-up value numbering then runs under worst-case call effects, so
-  // only leaf-ish procedures keep precise return jump functions — which
-  // is how the paper's "without MOD" column still benefits from them.
-  bool UseRjf = Opts.UseReturnJumpFunctions;
-
-  // With a session, stage 1 lives in the shared base: build it once per
-  // (UseMod, UseRjf, UseGatedSsa), then copy the skeleton's return jump
-  // functions (JumpFunction is move-only, so clone) and stage-1 stats
-  // into this configuration's result.
-  const AnalysisSession::JfBase *Base = nullptr;
-  if (Session) {
-    Base = &Session->jfBase(Opts, [&](AnalysisSession::JfBase &B) {
-      buildJfBase(B, M, Symbols, CG, MRI, Opts, Aliases, FlowAliases,
-                  CopyFacts, Pool, Session);
-    });
-    for (size_t P = 0, E = Base->Skeleton.ReturnJfs.size(); P != E; ++P)
-      for (const auto &[Sym, J] : Base->Skeleton.ReturnJfs[P])
-        Jfs.ReturnJfs[P].emplace(Sym, J.clone());
-    foldStats(Jfs.Stats, Base->Skeleton.Stats);
-  }
-
-  SsaForm::KillOracle LocalOracle;
-  const SsaForm::KillOracle *KillOracle;
-  if (Session) {
-    KillOracle = &Session->killOracle(Opts.UseMod);
-  } else {
-    LocalOracle = makeKillOracle(Symbols, MRI);
-    KillOracle = &LocalOracle;
-  }
   KillValueFn VnKillFn = makeVnKillFn(Jfs, Symbols);
-  const KillValueFn *VnKillFnPtr = UseRjf ? &VnKillFn : nullptr;
-
-  BuildContext BC{M,           Symbols, CG,          MRI,         Opts,
-                  *KillOracle, VnKillFnPtr, Aliases, FlowAliases, CopyFacts,
-                  Jfs,         Session};
-
-  // Stage 1: return jump functions, bottom-up so callee RJFs are ready
-  // when a caller's value numbering wants them. Within a recursive SCC
-  // the not-yet-built callee RJFs simply read as bottom (conservative).
-  // In parallel mode, call-adjacent procedures run in separate ordered
-  // waves so each procedure observes exactly the serial schedule's view
-  // of its neighbours' RJF maps. (With a session, the base above already
-  // ran this.)
-  if (UseRjf && !Session)
-    runStage1(BC, Pool, Jfs.Stats,
-              [](ProcId) -> AnalysisSession::VnBundle * { return nullptr; });
+  BuildContext BC{In, Jfs,
+                  Opts.UseReturnJumpFunctions ? &VnKillFn : nullptr};
 
   // Stage 2: forward jump functions for every call site of every
   // reachable procedure. The RJFs are now read-only, so every procedure
   // is independent: one flat parallelFor. Cached base numberings stand in
-  // for a fresh build wherever the base proved them identical.
-  {
-    const auto &Order = CG.topDownOrder();
-    std::vector<JumpFunctionStats> PerProc(Order.size());
-    parallelFor(Pool, Order.size(), [&](size_t I) {
-      ProcId P = Order[I];
-      const ValueNumbering *Cached = nullptr;
-      if (Base && P < Base->Vn.size() && Base->Vn[P] && Base->Vn[P]->VN)
-        Cached = &*Base->Vn[P]->VN;
-      PerProc[I] = buildForwardJfsForProc(BC, P, Cached);
-    });
-    for (const JumpFunctionStats &S : PerProc)
-      foldStats(Jfs.Stats, S);
-  }
-
+  // for a fresh build wherever the base proved them identical; only
+  // recursive procedures, whose stage-1 numbering saw an incomplete view
+  // of their SCC's return jump functions, are numbered again.
+  const auto &Order = CG.topDownOrder();
+  std::vector<JumpFunctionStats> PerProc(Order.size());
+  parallelFor(Pool, Order.size(), [&](size_t I) {
+    ProcId P = Order[I];
+    const ValueNumbering *Cached = nullptr;
+    if (P < Base.Vn.size() && Base.Vn[P] && Base.Vn[P]->VN)
+      Cached = &*Base.Vn[P]->VN;
+    PerProc[I] = buildForwardJfsForProc(BC, P, Cached);
+  });
+  for (const JumpFunctionStats &S : PerProc)
+    foldStats(Jfs.Stats, S);
   return Jfs;
 }

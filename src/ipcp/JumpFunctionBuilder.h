@@ -9,7 +9,8 @@
 /// paper's four-stage execution (§4.1):
 ///
 ///   1. return jump functions, in a bottom-up walk over the call graph
-///      (SSA + value numbering per procedure, discarded afterwards);
+///      (SSA + value numbering per procedure, both owned by the
+///      AnalysisSession the build runs over);
 ///   2. forward jump functions for every call site, using the return
 ///      jump functions built in stage 1;
 ///   (stages 3 and 4 — propagation and recording — live in Solver and
@@ -146,7 +147,29 @@ public:
                                                   const SymbolTable &Symbols);
 };
 
-/// Runs stages 1 and 2. \p MRI must be non-null iff Opts.UseMod.
+/// Runs stages 1 and 2 over the inputs of \p Session, which must be
+/// non-null: \p M, \p Symbols, \p CG, \p MRI, \p Aliases, \p FlowAliases
+/// and \p CopyFacts are the session's own artifacts for Opts.UseMod, as
+/// the pipeline wires them (the short overload below does the wiring).
+/// \p MRI is non-null iff Opts.UseMod.
+///
+/// Each procedure's SSA comes from the session's per-procedure cache.
+/// Everything that does not depend on the forward jump-function Kind —
+/// the stage-1 return jump functions plus the value numberings built
+/// along the way — is computed once per setting of the boolean
+/// jump-function options (AnalysisSession::jfBase) and reused by every
+/// later configuration; stage 2 only rebuilds the numbering of recursive
+/// procedures, whose stage-1 numbering saw an incomplete view of their
+/// SCC's return jump functions.
+///
+/// \p Aliases supplies by-reference alias pairs (analysis/RefAlias.h);
+/// the value numbering treats symbols it marks unstable as Opaque, so no
+/// jump function transmits a value that an aliased store could rewrite.
+/// With Opts.FlowSensitiveAlias, \p FlowAliases must be non-null; the
+/// numbering then gates only the reads at dirty program points instead
+/// of masking whole symbols. With Opts.CopyPropagation, \p CopyFacts must
+/// be non-null; value numbering then resolves the loads the copy lattice
+/// proves.
 ///
 /// With a non-null \p Pool the per-procedure work (SSA, value numbering,
 /// classification) runs across the pool's workers; the result is
@@ -157,41 +180,21 @@ public:
 /// ordered waves (see callAdjacencyWaves); stage 2 has no cross-procedure
 /// dependency at all. Statistics are accumulated per procedure and folded
 /// in the serial order.
-/// \p Aliases supplies by-reference alias pairs (analysis/RefAlias.h);
-/// the value numbering treats symbols it marks unstable as Opaque, so no
-/// jump function transmits a value that an aliased store could rewrite.
-/// Null means "no aliasing", only sound for programs that never pass a
-/// modified variable by reference. With Opts.FlowSensitiveAlias,
-/// \p FlowAliases must also be non-null; the numbering then gates only
-/// the reads at dirty program points instead of masking whole symbols.
-///
-/// With a non-null \p Session the builder memoizes everything that does
-/// not depend on the forward jump-function Kind: SSA comes from the
-/// session's per-procedure cache, and the stage-1 return jump functions
-/// plus the value numberings built along the way are computed once per
-/// setting of the boolean jump-function options (AnalysisSession::jfBase)
-/// and reused by every later configuration — stage 2 only
-/// rebuilds the numbering of recursive procedures, whose stage-1
-/// numbering saw an incomplete view of their SCC's return jump
-/// functions. The result is byte-identical to the session-less build.
-/// With Opts.CopyPropagation, \p CopyFacts must be non-null; value
-/// numbering then resolves the loads the copy lattice proves.
 ProgramJumpFunctions buildJumpFunctions(const Module &M,
                                         const SymbolTable &Symbols,
                                         const CallGraph &CG,
                                         const ModRefInfo *MRI,
                                         const JumpFunctionOptions &Opts,
-                                        const RefAliasInfo *Aliases = nullptr,
-                                        ThreadPool *Pool = nullptr,
-                                        AnalysisSession *Session = nullptr,
+                                        const RefAliasInfo *Aliases,
+                                        ThreadPool *Pool,
+                                        AnalysisSession *Session,
                                         const FlowAliasInfo *FlowAliases =
                                             nullptr,
                                         const CopyPropInfo *CopyFacts =
                                             nullptr);
 
 /// buildJumpFunctions over \p Session's cached MOD, alias and copy facts
-/// for \p Opts, wired as the pipeline wires them — for callers that need
-/// only the jump functions (the driver's --dump-jf).
+/// for \p Opts, wired as the pipeline wires them.
 ProgramJumpFunctions buildJumpFunctions(AnalysisSession &Session,
                                         const JumpFunctionOptions &Opts,
                                         ThreadPool *Pool = nullptr);

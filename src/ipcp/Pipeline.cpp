@@ -8,9 +8,7 @@
 
 #include "analysis/CopyProp.h"
 #include "ipcp/AnalysisSession.h"
-#include "ir/CfgBuilder.h"
 #include "lang/AstPrinter.h"
-#include "lang/Parser.h"
 #include "support/Cancellation.h"
 #include "support/FuzzFeedback.h"
 #include "support/ThreadPool.h"
@@ -122,7 +120,6 @@ PipelineResult ipcp::runPipelineOnSession(AnalysisSession &Session,
 
     Clock::time_point Phase = Clock::now();
 
-    const Module &M = Session.module();
     const CallGraph &CG = Session.callGraph();
 
     const ModRefInfo *MRI = Session.modRef(Opts.UseMod);
@@ -135,27 +132,25 @@ PipelineResult ipcp::runPipelineOnSession(AnalysisSession &Session,
     // Flow-sensitive mode refines (never widens) those baseline facts
     // with per-point dirty states; the baseline counts above stay, so
     // the table columns remain comparable across configurations.
-    const FlowAliasInfo *FlowAliases = nullptr;
-    if (Opts.FlowSensitiveAlias) {
-      FlowAliases = &Session.flowAlias(Opts.UseMod);
-      Result.AliasPointsRefined = FlowAliases->numRefinedPoints();
-    }
+    if (Opts.FlowSensitiveAlias)
+      Result.AliasPointsRefined =
+          Session.flowAlias(Opts.UseMod).numRefinedPoints();
     // Copy propagation strictly refines every configuration: loads the
     // copy lattice resolves stop reading as unknown in both the jump
     // functions and the substitution SCCP below.
-    const CopyPropInfo *CopyFacts = nullptr;
-    if (Opts.CopyPropagation) {
-      CopyFacts = &Session.copyProp(Opts.UseMod);
-      Result.CopyLoadsResolved = CopyFacts->numResolvedLoads();
-    }
+    if (Opts.CopyPropagation)
+      Result.CopyLoadsResolved =
+          Session.copyProp(Opts.UseMod).numResolvedLoads();
+    // Lowering, the call graph and the summaries above are all built by
+    // now, so the jump-function and substitution phases below time only
+    // their own work.
     Result.Timings.LowerMs += lapMs(Phase);
 
     ProgramJumpFunctions Jfs;
     SolveResult Solve;
     bool UseRjfInSccp = false;
     if (!Opts.IntraproceduralOnly) {
-      Jfs = buildJumpFunctions(M, Symbols, CG, MRI, Opts, &Aliases, Pool,
-                               &Session, FlowAliases, CopyFacts);
+      Jfs = buildJumpFunctions(Session, Opts, Pool);
       Result.Timings.JumpFunctionsMs += lapMs(Phase);
       if (isCancelled(Opts.Cancel))
         return Abandon();
@@ -171,9 +166,8 @@ PipelineResult ipcp::runPipelineOnSession(AnalysisSession &Session,
       return Abandon();
 
     SubstitutionResult Subs = countSubstitutions(
-        M, Symbols, CG, Opts.IntraproceduralOnly ? nullptr : &Solve, MRI,
-        UseRjfInSccp ? &Jfs : nullptr, &Aliases, Pool, &Session,
-        FlowAliases, CopyFacts);
+        Session, Opts, Opts.IntraproceduralOnly ? nullptr : &Solve,
+        UseRjfInSccp ? &Jfs : nullptr, Pool);
     Result.Timings.SubstituteMs += lapMs(Phase);
 
     bool FinalRound = true;
@@ -248,18 +242,15 @@ PipelineResult ipcp::runPipelineOnAst(AstContext &Ctx,
 PipelineResult ipcp::runPipeline(std::string_view Source,
                                  const PipelineOptions &Opts) {
   Clock::time_point Start = Clock::now();
-  DiagnosticEngine Diags;
-  auto Ctx = parseProgram(Source, Diags);
-  SymbolTable Symbols;
-  if (!Diags.hasErrors())
-    Symbols = Sema::run(*Ctx, Diags);
-  if (Diags.hasErrors()) {
+  CheckedProgram Checked = checkProgram(Source);
+  if (!Checked.ok()) {
     PipelineResult Result;
-    Result.Error = Diags.str();
+    Result.Error = std::move(Checked.Error);
     return Result;
   }
   double FrontendMs = lapMs(Start);
-  PipelineResult Result = runPipelineOnAst(*Ctx, Symbols, Opts);
+  PipelineResult Result =
+      runPipelineOnAst(*Checked.Ctx, Checked.Symbols, Opts);
   Result.Timings.FrontendMs = FrontendMs;
   Result.Timings.TotalMs += FrontendMs;
   return Result;

@@ -10,12 +10,10 @@
 #include "analysis/FlowAlias.h"
 #include "analysis/Sccp.h"
 #include "ipcp/AnalysisSession.h"
-#include "ir/Dominators.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 
 using namespace ipcp;
 
@@ -29,23 +27,14 @@ struct ProcSubstitutions {
   DeadCodeElim::Decisions Branches;
 };
 
-ProcSubstitutions countProc(const Module &M, const SymbolTable &Symbols,
+ProcSubstitutions countProc(const SsaForm &Ssa, const SymbolTable &Symbols,
                             const SolveResult *Solve,
-                            const SsaForm::KillOracle &KillOracle,
                             const SccpKillFn *KillFnPtr,
-                            const RefAliasInfo *Aliases,
+                            const RefAliasInfo &Aliases,
                             const FlowAliasInfo *FlowAliases,
-                            const CopyPropInfo *CopyFacts, ProcId P,
-                            const SsaForm *CachedSsa) {
+                            const CopyPropInfo *CopyFacts, ProcId P) {
   ProcSubstitutions Out;
-  const Function &F = M.function(P);
-  std::optional<DominatorTree> LocalDT;
-  std::optional<SsaForm> LocalSsa;
-  if (!CachedSsa) {
-    LocalDT.emplace(F);
-    LocalSsa.emplace(F, Symbols, *LocalDT, KillOracle);
-  }
-  const SsaForm &Ssa = CachedSsa ? *CachedSsa : *LocalSsa;
+  const Function &F = Ssa.function();
 
   // Seed the entry lattice with this procedure's CONSTANTS set.
   SccpSeeds Seeds;
@@ -56,8 +45,7 @@ ProcSubstitutions countProc(const Module &M, const SymbolTable &Symbols,
   // Flow-sensitive mode replaces the whole-procedure mask with per-point
   // dirty gating; at most one of the two reaches the SCCP run.
   Sccp Analysis(Ssa, Symbols, Solve ? &Seeds : nullptr, KillFnPtr,
-                FlowAliases ? nullptr
-                            : (Aliases ? &Aliases->unstableMask(P) : nullptr),
+                FlowAliases ? nullptr : &Aliases.unstableMask(P),
                 FlowAliases ? &FlowAliases->proc(P) : nullptr,
                 CopyFacts ? &CopyFacts->proc(P) : nullptr);
 
@@ -115,10 +103,13 @@ SubstitutionResult ipcp::countSubstitutions(
     const ProgramJumpFunctions *Jfs, const RefAliasInfo *Aliases,
     ThreadPool *Pool, AnalysisSession *Session,
     const FlowAliasInfo *FlowAliases, const CopyPropInfo *CopyFacts) {
+  assert(Session && "substitution runs over an analysis session");
+  assert(&Symbols == &Session->symbols() &&
+         "the inputs must come from the session");
+  assert(Aliases && "by-reference alias facts are required");
   SubstitutionResult Result;
   Result.PerProc.assign(M.Functions.size(), 0);
 
-  SsaForm::KillOracle KillOracle = makeKillOracle(Symbols, MRI);
   SccpKillFn KillFn;
   const SccpKillFn *KillFnPtr = nullptr;
   if (Jfs) {
@@ -133,11 +124,10 @@ SubstitutionResult ipcp::countSubstitutions(
   const auto &Order = CG.topDownOrder();
   std::vector<ProcSubstitutions> PerProc(Order.size());
   parallelFor(Pool, Order.size(), [&](size_t I) {
-    const SsaForm *CachedSsa =
-        Session ? &Session->ssa(Order[I], MRI != nullptr).Ssa : nullptr;
-    PerProc[I] = countProc(M, Symbols, Solve, KillOracle, KillFnPtr,
-                           Aliases, FlowAliases, CopyFacts, Order[I],
-                           CachedSsa);
+    ProcId P = Order[I];
+    PerProc[I] = countProc(Session->ssa(P, MRI != nullptr).Ssa, Symbols,
+                           Solve, KillFnPtr, *Aliases, FlowAliases, CopyFacts,
+                           P);
   });
 
   for (size_t I = 0; I != Order.size(); ++I) {
@@ -150,4 +140,17 @@ SubstitutionResult ipcp::countSubstitutions(
   }
 
   return Result;
+}
+
+SubstitutionResult ipcp::countSubstitutions(AnalysisSession &Session,
+                                            const JumpFunctionOptions &Opts,
+                                            const SolveResult *Solve,
+                                            const ProgramJumpFunctions *Jfs,
+                                            ThreadPool *Pool) {
+  bool Mod = Opts.UseMod;
+  return countSubstitutions(
+      Session.module(), Session.symbols(), Session.callGraph(), Solve,
+      Session.modRef(Mod), Jfs, &Session.refAlias(Mod), Pool, &Session,
+      Opts.FlowSensitiveAlias ? &Session.flowAlias(Mod) : nullptr,
+      Opts.CopyPropagation ? &Session.copyProp(Mod) : nullptr);
 }

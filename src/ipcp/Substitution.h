@@ -57,30 +57,29 @@ struct SubstitutionResult {
   unsigned ConstantPrints = 0;
 };
 
-/// Runs the seeded-SCCP substitution pass.
+/// Runs the seeded-SCCP substitution pass over the inputs of
+/// \p Session, which must be non-null: \p M, \p Symbols, \p CG, \p MRI,
+/// \p Aliases, \p FlowAliases and \p CopyFacts are the session's own
+/// artifacts for one MOD setting, as the pipeline wires them (the short
+/// overload below does the wiring). Each procedure's SSA form comes from
+/// the session's per-procedure cache, keyed by MOD presence (\p MRI
+/// non-null), which the call kill sets depend on.
 ///
 /// \p Solve supplies the entry seeds (CONSTANTS sets); pass null for the
-/// purely intraprocedural baseline (all entries BOTTOM). \p MRI controls
-/// call kill sets (null = worst case). \p Jfs supplies return jump
-/// functions for call-kill recovery; pass null to disable them.
-/// \p Aliases supplies by-reference alias pairs; symbols it marks
-/// unstable propagate as BOTTOM (null = no aliasing, only sound for
-/// programs that never pass a modified variable by reference). With a
-/// non-null \p FlowAliases the whole-procedure masks are replaced by
-/// per-point dirty gating (analysis/FlowAlias.h): only reads at points
-/// where an aliased store may have happened resolve to BOTTOM, so uses
-/// of an aliased symbol before the first interfering store still count.
+/// purely intraprocedural baseline (all entries BOTTOM). \p Jfs supplies
+/// return jump functions for call-kill recovery; pass null to disable
+/// them. \p Aliases supplies by-reference alias pairs; symbols it marks
+/// unstable propagate as BOTTOM. With a non-null \p FlowAliases the
+/// whole-procedure masks are replaced by per-point dirty gating
+/// (analysis/FlowAlias.h): only reads at points where an aliased store
+/// may have happened resolve to BOTTOM, so uses of an aliased symbol
+/// before the first interfering store still count.
 ///
 /// Each procedure's SCCP run is independent (it reads only the immutable
 /// module and the frozen CONSTANTS sets), so with a non-null \p Pool the
 /// procedures fan out across the workers; per-procedure partial results
 /// are merged on the calling thread in the serial order, making the
 /// outcome bit-identical to the serial run.
-///
-/// With a non-null \p Session each procedure's dominator tree and SSA
-/// form come from the session's per-procedure cache (keyed by MOD
-/// presence, which the kill oracle depends on) instead of being rebuilt;
-/// the result is byte-identical either way.
 ///
 /// With a non-null \p CopyFacts each procedure's SCCP run consumes the
 /// copy-propagation facts (analysis/CopyProp.h): array loads whose cell
@@ -93,13 +92,21 @@ SubstitutionResult countSubstitutions(const Module &M,
                                       const SolveResult *Solve,
                                       const ModRefInfo *MRI,
                                       const ProgramJumpFunctions *Jfs,
-                                      const RefAliasInfo *Aliases = nullptr,
-                                      ThreadPool *Pool = nullptr,
-                                      AnalysisSession *Session = nullptr,
+                                      const RefAliasInfo *Aliases,
+                                      ThreadPool *Pool,
+                                      AnalysisSession *Session,
                                       const FlowAliasInfo *FlowAliases =
                                           nullptr,
                                       const CopyPropInfo *CopyFacts =
                                           nullptr);
+
+/// countSubstitutions over \p Session's cached MOD, alias and copy facts
+/// for \p Opts, wired as the pipeline wires them.
+SubstitutionResult countSubstitutions(AnalysisSession &Session,
+                                      const JumpFunctionOptions &Opts,
+                                      const SolveResult *Solve,
+                                      const ProgramJumpFunctions *Jfs,
+                                      ThreadPool *Pool = nullptr);
 
 } // namespace ipcp
 

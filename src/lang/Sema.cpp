@@ -6,6 +6,8 @@
 
 #include "lang/Sema.h"
 
+#include "lang/Parser.h"
+
 #include <cassert>
 #include <string_view>
 #include <unordered_map>
@@ -281,4 +283,17 @@ private:
 SymbolTable Sema::run(AstContext &Ctx, DiagnosticEngine &Diags) {
   detail::SemaImpl Impl(Ctx, Diags);
   return Impl.run();
+}
+
+CheckedProgram ipcp::checkProgram(std::string_view Source) {
+  CheckedProgram P;
+  DiagnosticEngine Diags;
+  P.Ctx = parseProgram(Source, Diags);
+  if (!Diags.hasErrors())
+    P.Symbols = Sema::run(*P.Ctx, Diags);
+  if (Diags.hasErrors()) {
+    P.Ctx.reset();
+    P.Error = Diags.str();
+  }
+  return P;
 }

@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Name resolution and semantic checks for MiniFort, plus the program-wide
-/// symbol table that every later phase keys its results on.
+/// symbol table that every later phase keys its results on, and
+/// checkProgram(), the one road from source text to a checked program.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +18,9 @@
 #include "support/Diagnostics.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ipcp {
@@ -124,6 +127,21 @@ class Sema {
 public:
   static SymbolTable run(AstContext &Ctx, DiagnosticEngine &Diags);
 };
+
+/// A parsed and checked program, or the diagnostics explaining why not.
+struct CheckedProgram {
+  /// The checked tree; null when the source has errors.
+  std::unique_ptr<AstContext> Ctx;
+  SymbolTable Symbols;
+  /// Every diagnostic, one per line, when the source has errors.
+  std::string Error;
+
+  bool ok() const { return Ctx != nullptr; }
+};
+
+/// Parses \p Source and, only when it parses cleanly, runs Sema over it,
+/// so a syntax error is never followed by the semantic errors it causes.
+CheckedProgram checkProgram(std::string_view Source);
 
 } // namespace ipcp
 

@@ -96,6 +96,11 @@ struct ServeRequest {
   ExecEngine Exec = ExecEngine::Vm;
 };
 
+/// The longest request line the transports read, in bytes, newline
+/// excluded. A longer line is never buffered whole: it gets one
+/// `malformed` reply (Server::oversizedLineReply) and is dropped.
+inline constexpr size_t MaxRequestLineBytes = size_t(8) << 20;
+
 /// Parses one request line. On failure returns false and fills \p Error
 /// with a message for the `malformed` reply.
 bool parseServeRequest(const std::string &Line, ServeRequest &Out,

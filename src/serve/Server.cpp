@@ -139,6 +139,14 @@ void Server::submit(std::string Line, std::function<void(std::string)> Done) {
   Pool.post([this, Op] { compute(Op); });
 }
 
+std::string Server::oversizedLineReply() {
+  Lines.fetch_add(1, std::memory_order_relaxed);
+  countError(ServeErrorKind::Malformed);
+  return makeErrorReply("", ServeErrorKind::Malformed,
+                        "request line longer than " +
+                            std::to_string(MaxRequestLineBytes) + " bytes");
+}
+
 std::string Server::handle(const std::string &Line) {
   std::promise<std::string> P;
   std::future<std::string> F = P.get_future();
@@ -191,8 +199,8 @@ void Server::computeAnalyze(InflightOp &Op) {
   }
 
   P->ensureFrontend();
-  if (!P->FrontendError.empty()) {
-    completeError(Op, ServeErrorKind::AnalysisError, P->FrontendError);
+  if (!P->Checked.ok()) {
+    completeError(Op, ServeErrorKind::AnalysisError, P->Checked.Error);
     return;
   }
   if (WasResident)
@@ -207,8 +215,9 @@ void Server::computeAnalyze(InflightOp &Op) {
     // Complete propagation mutates the AST it analyzes; give it a
     // private resolved clone so the cached session stays pristine (the
     // SuiteRunner contract).
-    std::unique_ptr<AstContext> Clone = cloneProgramResolved(*P->Ctx);
-    AnalysisSession Private(*Clone, P->Symbols);
+    std::unique_ptr<AstContext> Clone =
+        cloneProgramResolved(*P->Checked.Ctx);
+    AnalysisSession Private(*Clone, P->Checked.Symbols);
     R = runPipelineOnSession(Private, PO);
   } else {
     R = runPipelineOnSession(*P->Session, PO);

@@ -14,8 +14,9 @@
 /// Robustness contract, in order of evaluation for each line:
 ///
 ///   1. Unparseable / ill-formed requests get a `malformed` error reply
-///      (carrying the request id when one could be salvaged). The
-///      process never dies on bad input.
+///      (carrying the request id when one could be salvaged), and so do
+///      lines longer than MaxRequestLineBytes, which the transports drop
+///      unread. The process never dies on bad input.
 ///   2. `stats` and `shutdown` are control traffic: answered inline,
 ///      never queued, never shed.
 ///   3. After shutdown begins draining, new compute requests get
@@ -82,6 +83,11 @@ public:
   /// transport answers each connection's lines through this, as do the
   /// tests.
   std::string handle(const std::string &Line);
+
+  /// The `malformed` reply to a request line longer than
+  /// MaxRequestLineBytes, which a transport drops instead of submitting;
+  /// counted like any other malformed line.
+  std::string oversizedLineReply();
 
   /// Begins draining (idempotent) and blocks until every admitted
   /// request has been answered. New compute requests are rejected with

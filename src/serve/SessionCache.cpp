@@ -6,23 +6,17 @@
 
 #include "serve/SessionCache.h"
 
-#include "lang/Parser.h"
 #include "serve/Protocol.h"
 
 using namespace ipcp;
 
 void SessionCache::Program::ensureFrontend() {
   std::call_once(FrontendOnce, [this] {
-    DiagnosticEngine Diags;
-    Ctx = parseProgram(Source, Diags);
-    if (!Diags.hasErrors())
-      Symbols = Sema::run(*Ctx, Diags);
-    if (Diags.hasErrors()) {
-      FrontendError = Diags.str();
-      Ctx.reset();
+    Checked = checkProgram(Source);
+    if (!Checked.ok())
       return;
-    }
-    Session = std::make_unique<AnalysisSession>(*Ctx, Symbols);
+    Session =
+        std::make_unique<AnalysisSession>(*Checked.Ctx, Checked.Symbols);
     SessionReady.store(Session.get(), std::memory_order_release);
   });
 }

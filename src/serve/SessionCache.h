@@ -61,16 +61,14 @@ struct SessionCacheStats {
 
 class SessionCache {
 public:
-  /// One resident program. Member order matters: Session refers to Ctx
-  /// and Symbols, so it is declared (and therefore destroyed) last-first.
+  /// One resident program. Member order matters: Session refers to
+  /// Checked, so it is declared (and therefore destroyed) last-first.
   struct Program {
     std::string Source;
-    /// Frontend diagnostics; non-empty means the source does not check
-    /// and Session is null (the failure itself is cached — a repeated
-    /// bad request reparses nothing).
-    std::string FrontendError;
-    std::unique_ptr<AstContext> Ctx;
-    SymbolTable Symbols;
+    /// The checked program. When the source does not check, its Error
+    /// holds the diagnostics and Session is null (the failure itself is
+    /// cached — a repeated bad request reparses nothing).
+    CheckedProgram Checked;
     std::unique_ptr<AnalysisSession> Session;
 
     /// Session.get(), published (release) once ensureFrontend finishes.

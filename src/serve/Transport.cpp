@@ -22,6 +22,35 @@
 
 using namespace ipcp;
 
+namespace {
+
+/// Reads the next line of \p In into \p Line, without its newline;
+/// false at end of input. A line longer than MaxRequestLineBytes is read
+/// through its newline but not kept: \p Line is left empty and
+/// \p TooLong set.
+bool readRequestLine(std::istream &In, std::string &Line, bool &TooLong) {
+  Line.clear();
+  TooLong = false;
+  std::streambuf &Buf = *In.rdbuf();
+  for (;;) {
+    int C = Buf.sbumpc();
+    if (C == std::char_traits<char>::eof())
+      return !Line.empty() || TooLong;
+    if (C == '\n')
+      return true;
+    if (TooLong)
+      continue;
+    if (Line.size() == MaxRequestLineBytes) {
+      TooLong = true;
+      std::string().swap(Line);
+      continue;
+    }
+    Line.push_back(static_cast<char>(C));
+  }
+}
+
+} // namespace
+
 void ipcp::serveStream(Server &S, std::istream &In, std::ostream &Out) {
   std::mutex WriteMutex; // Replies land from worker threads; serialize.
   std::mutex DoneMutex;
@@ -29,7 +58,14 @@ void ipcp::serveStream(Server &S, std::istream &In, std::ostream &Out) {
   size_t Outstanding = 0;
 
   std::string Line;
-  while (std::getline(In, Line)) {
+  bool TooLong = false;
+  while (readRequestLine(In, Line, TooLong)) {
+    if (TooLong) {
+      std::lock_guard<std::mutex> Lock(WriteMutex);
+      Out << S.oversizedLineReply() << '\n';
+      Out.flush();
+      continue;
+    }
     if (Line.empty())
       continue;
     {
@@ -81,14 +117,25 @@ void serveConnection(int Fd, Server &S) {
   std::string Buffer;
   char Chunk[4096];
   for (;;) {
+    // Scan only the bytes each recv adds, so a long line costs linear
+    // time; past MaxRequestLineBytes without a newline, give up on the
+    // connection rather than buffer without bound.
     size_t Nl;
-    while ((Nl = Buffer.find('\n')) == std::string::npos) {
+    size_t Scanned = 0;
+    while ((Nl = Buffer.find('\n', Scanned)) == std::string::npos &&
+           Buffer.size() <= MaxRequestLineBytes) {
+      Scanned = Buffer.size();
       ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
       if (N <= 0) {
         ::close(Fd);
         return;
       }
       Buffer.append(Chunk, static_cast<size_t>(N));
+    }
+    if (Nl == std::string::npos || Nl > MaxRequestLineBytes) {
+      sendAll(Fd, S.oversizedLineReply() + "\n");
+      ::close(Fd);
+      return;
     }
     std::string Line = Buffer.substr(0, Nl);
     Buffer.erase(0, Nl + 1);

@@ -7,7 +7,6 @@
 #include "workloads/SuiteRunner.h"
 
 #include "lang/AstClone.h"
-#include "lang/Parser.h"
 #include "support/ThreadPool.h"
 
 #include <chrono>
@@ -94,11 +93,8 @@ namespace {
 
 /// Shared-mode per-program state: one frontend, one session.
 struct ProgState {
-  std::unique_ptr<AstContext> Ctx;
-  SymbolTable Symbols;
+  CheckedProgram Checked;
   std::unique_ptr<AnalysisSession> Session;
-  bool Ok = false;
-  std::string Error;
 };
 
 } // namespace
@@ -141,16 +137,10 @@ SuiteRunResult ipcp::runSuite(const std::vector<WorkloadProgram> &Programs,
     States.resize(Programs.size());
     parallelFor(Pool.get(), Programs.size(), [&](size_t P) {
       ProgState &PS = States[P];
-      DiagnosticEngine Diags;
-      PS.Ctx = parseProgram(Programs[P].Source, Diags);
-      if (!Diags.hasErrors())
-        PS.Symbols = Sema::run(*PS.Ctx, Diags);
-      if (Diags.hasErrors()) {
-        PS.Error = Diags.str();
-        return;
-      }
-      PS.Session = std::make_unique<AnalysisSession>(*PS.Ctx, PS.Symbols);
-      PS.Ok = true;
+      PS.Checked = checkProgram(Programs[P].Source);
+      if (PS.Checked.ok())
+        PS.Session = std::make_unique<AnalysisSession>(*PS.Checked.Ctx,
+                                                       PS.Checked.Symbols);
     });
     Result.FrontendMs =
         std::chrono::duration<double, std::milli>(Clock::now() - BatchStart)
@@ -171,11 +161,11 @@ SuiteRunResult ipcp::runSuite(const std::vector<WorkloadProgram> &Programs,
     PipelineResult R;
     if (Sharing == SuiteSharing::PerCell) {
       R = runPipeline(Programs[P].Source, Opts);
-    } else if (ProgState &PS = States[P]; !PS.Ok) {
-      R.Error = PS.Error;
+    } else if (ProgState &PS = States[P]; !PS.Session) {
+      R.Error = PS.Checked.Error;
     } else if (Opts.CompletePropagation) {
-      auto Clone = cloneProgramResolved(*PS.Ctx);
-      AnalysisSession Private(*Clone, PS.Symbols);
+      auto Clone = cloneProgramResolved(*PS.Checked.Ctx);
+      AnalysisSession Private(*Clone, PS.Checked.Symbols);
       R = runPipelineOnSession(Private, Opts);
     } else {
       R = runPipelineOnSession(*PS.Session, Opts);

@@ -85,8 +85,7 @@ TEST_P(SolverDifferentialTest, StrategiesProduceIdenticalValSets) {
     test::FullAnalysis A =
         test::analyze(sourceFor(GetParam(), Recursion));
     JumpFunctionOptions JfOpts; // polynomial + RJF + MOD
-    ProgramJumpFunctions Jfs =
-        buildJumpFunctions(A.M, A.Symbols, *A.CG, A.MRI.get(), JfOpts);
+    ProgramJumpFunctions Jfs = test::buildJfs(A, JfOpts);
 
     SolveResult Base = solveConstants(A.Symbols, *A.CG, Jfs,
                                       SolverStrategy::Worklist);
@@ -109,13 +108,11 @@ TEST_P(SolverDifferentialTest, StrategiesAgreeWithoutModOrRjf) {
 
   JumpFunctionOptions NoMod;
   NoMod.UseMod = false;
-  ProgramJumpFunctions JfsNoMod =
-      buildJumpFunctions(A.M, A.Symbols, *A.CG, nullptr, NoMod);
+  ProgramJumpFunctions JfsNoMod = test::buildJfs(A, NoMod);
 
   JumpFunctionOptions NoRjf;
   NoRjf.UseReturnJumpFunctions = false;
-  ProgramJumpFunctions JfsNoRjf =
-      buildJumpFunctions(A.M, A.Symbols, *A.CG, A.MRI.get(), NoRjf);
+  ProgramJumpFunctions JfsNoRjf = test::buildJfs(A, NoRjf);
 
   for (const ProgramJumpFunctions *Jfs : {&JfsNoMod, &JfsNoRjf}) {
     std::string BaseFp = valFingerprint(
@@ -132,8 +129,7 @@ TEST_P(SolverDifferentialTest, LoweringsAreBoundedByLatticeDepth) {
   // under every strategy.
   test::FullAnalysis A = test::analyze(sourceFor(GetParam(), false));
   JumpFunctionOptions JfOpts;
-  ProgramJumpFunctions Jfs =
-      buildJumpFunctions(A.M, A.Symbols, *A.CG, A.MRI.get(), JfOpts);
+  ProgramJumpFunctions Jfs = test::buildJfs(A, JfOpts);
   size_t Cells = 0;
   for (ProcId P = 0; P != A.CG->numProcs(); ++P)
     Cells += A.Symbols.interproceduralParams(P).size();

@@ -1,7 +1,8 @@
 # Driver CLI contract test, run via `cmake -P` (see tests/CMakeLists.txt).
 # Bad inputs must produce a diagnostic and a nonzero exit instead of
 # silently analyzing an empty program, and programs nested past the
-# parser's depth bound must get a diagnostic instead of a crash;
+# parser's depth bound must get a diagnostic instead of a crash, and a
+# syntax error must not cascade into semantic errors;
 # --run/--validate must work; the --dump-* modes must agree with the
 # analysis; every analysis option must work with --dump-jf and --stats;
 # options that no longer exist, in ipcp-driver or ipcp-serve, must be
@@ -203,6 +204,21 @@ foreach(CASE parens:20000 ifs:5000 chain:10000)
   expect_run(bound_${SHAPE} zero "" "--stats" "${WORK_DIR}/bound_${SHAPE}.mf")
   expect_run(bound_complete_${SHAPE} zero "" "--complete"
              "${WORK_DIR}/bound_${SHAPE}.mf")
+endforeach()
+
+# A syntax error is reported alone, in every mode: Sema never runs over
+# a tree that failed to parse, so no "undeclared name" error cascades
+# from the half-parsed assignment.
+set(SYNTAX_MF "${WORK_DIR}/syntax.mf")
+file(WRITE "${SYNTAX_MF}" "proc main(\n  x = \nend\n")
+foreach(MODE --inline --clone --run --validate --dump-jf --stats)
+  execute_process(COMMAND ${DRIVER} ${MODE} "${SYNTAX_MF}"
+                  RESULT_VARIABLE RC
+                  OUTPUT_QUIET
+                  ERROR_VARIABLE ERR)
+  if(RC EQUAL 0 OR NOT ERR MATCHES "error:" OR ERR MATCHES "undeclared")
+    set(FAILURES "${FAILURES}\nsyntax_error${MODE}: expected only the parse diagnostics, got rc=${RC}: ${ERR}")
+  endif()
 endforeach()
 
 # --run executes the program and prints its trace.

@@ -19,11 +19,23 @@ namespace {
 
 InlineResult inlineSource(const std::string &Source,
                           InlineOptions Opts = InlineOptions()) {
-  DiagnosticEngine Diags;
-  auto Ctx = parseProgram(Source, Diags);
-  SymbolTable Symbols = Sema::run(*Ctx, Diags);
-  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
-  return inlineProgram(*Ctx, Symbols, Opts);
+  CheckedProgram P = checkProgram(Source);
+  EXPECT_TRUE(P.ok()) << P.Error;
+  return inlineProgram(*P.Ctx, P.Symbols, Opts);
+}
+
+/// main -> p1 -> ... -> pN, each p_i passing `v + 1` on: every inlined
+/// level adds a by-value temporary whose name carries one more inliner
+/// suffix than the level below.
+std::string callChain(unsigned N) {
+  std::string S = "proc main()\n  call p1(0)\nend\n";
+  for (unsigned I = 1; I <= N; ++I) {
+    S += "proc p" + std::to_string(I) + "(v)\n";
+    S += I < N ? "  call p" + std::to_string(I + 1) + "(v + 1)\n"
+               : std::string("  print v\n");
+    S += "end\n";
+  }
+  return S;
 }
 
 /// Runs the intraprocedural analyzer over (possibly inlined) source.
@@ -196,6 +208,25 @@ end
   Opts.MaxProgramStmts = 1; // Absurdly small: nothing gets inlined.
   InlineResult R = inlineSource(Source, Opts);
   EXPECT_GT(R.SkippedBudget, 0u);
+}
+
+TEST(Inliner, BudgetBoundsDeepChainText) {
+  // Down the chain the statements grow as N^2 but the text as N^3: 400
+  // procedures once inlined to 250 MB under the default budget, because
+  // only statements counted. Names count too now, so the text stays
+  // within a constant factor of the budget, the chain ends in kept
+  // calls, and the result still checks.
+  InlineOptions Opts;
+  Opts.MaxProgramStmts = 20000;
+  InlineResult R = inlineSource(callChain(400), Opts);
+  EXPECT_GT(R.InlinedCalls, 0u);
+  EXPECT_GT(R.SkippedBudget, 0u);
+  EXPECT_LT(R.Source.size(), 64 * Opts.MaxProgramStmts);
+  CheckedProgram P = checkProgram(R.Source);
+  EXPECT_TRUE(P.ok()) << P.Error;
+
+  // Short chains are far below the default budget and integrate fully.
+  EXPECT_TRUE(inlineSource(callChain(50)).fullyIntegrated());
 }
 
 TEST(Inliner, GlobalsUntouchedByRenaming) {

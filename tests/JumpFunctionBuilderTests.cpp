@@ -22,8 +22,7 @@ ProgramJumpFunctions build(const FullAnalysis &A,
   Opts.Kind = Kind;
   Opts.UseReturnJumpFunctions = UseRjf;
   Opts.UseMod = UseMod;
-  return buildJumpFunctions(A.M, A.Symbols, *A.CG,
-                            UseMod ? A.MRI.get() : nullptr, Opts);
+  return buildJfs(A, Opts);
 }
 
 /// The jump functions at the I-th call site in \p Proc.

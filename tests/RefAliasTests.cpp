@@ -191,3 +191,34 @@ end
   EXPECT_TRUE(V.Ok) << V.Error;
   EXPECT_GT(V.TraceComparisons, 0u);
 }
+
+TEST(RefAlias, FormalPassedTwiceAliasesWithoutVariableBinding) {
+  // main binds w3's formals only to by-value temporaries, so no caller
+  // variable reaches them; but the recursive call passes p0 into both
+  // positions, making p0 and p1 one location in the inner activation,
+  // where the store to p0 changes what p1 reads. The pair must be found
+  // from the formal itself (tests/corpus/formal-passed-twice.mf).
+  const std::string Source = R"(global depth
+proc main()
+  call w3(0, 0)
+end
+proc w3(p0, p1)
+  if (depth == 0) then
+    depth = 1
+    call w3(p0, p0)
+  else
+    p0 = 7
+    print p1
+  end if
+end
+)";
+  FullAnalysis A = analyze(Source);
+  RefAliasInfo Aliases = aliasesOf(A);
+  ProcId W = A.proc("w3");
+  EXPECT_TRUE(Aliases.unstable(W, A.symbolIn("w3", "p0")));
+  EXPECT_TRUE(Aliases.unstable(W, A.symbolIn("w3", "p1")));
+
+  OracleResult V = validateTranslation(Source, OracleOptions());
+  EXPECT_TRUE(V.Ok) << V.Error;
+  EXPECT_EQ(V.ConstantMismatches, 0u);
+}

@@ -8,7 +8,8 @@
 /// The check-serve suite: protocol goldens, the session cache and
 /// request coalescing, deadline cancellation, overload shedding,
 /// graceful drain, the TCP transport round trip and connection-thread
-/// reaping under connection churn, and the differential
+/// reaping under connection churn, the request-line cap of both
+/// transports, and the differential
 /// test pinning --server-url output byte-identical to local ipcp-driver
 /// output.
 ///
@@ -34,6 +35,12 @@
 
 #include <condition_variable>
 #include <cstdio>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -665,6 +672,104 @@ TEST(ServeTransport, TcpRoundTrip) {
   EXPECT_TRUE(parsedOk(Reply).find("result")->boolOr("cached", false));
 
   Client.close();
+  Listener.stop();
+  Accept.join();
+  S.shutdown();
+}
+
+namespace {
+
+/// A well-formed analyze-source request one byte longer than
+/// MaxRequestLineBytes (the source ends in blank padding).
+std::string overCapRequest(const std::string &Id) {
+  std::string Line = analyzeRequest(Id, SampleProgram);
+  std::string Pad(MaxRequestLineBytes + 1 - Line.size(), ' ');
+  return analyzeRequest(Id, SampleProgram + Pad);
+}
+
+/// The `errors.malformed` counter of \p S's stats.
+int64_t malformedCount(Server &S) {
+  JsonValue Stats = parsedOk(S.handle("{\"method\":\"stats\"}"));
+  const JsonValue *Result = Stats.find("result");
+  return Result ? Result->find("errors")->intOr("malformed", -1) : -1;
+}
+
+} // namespace
+
+// An over-cap line is rejected unread, not buffered and analyzed: one
+// `malformed` reply, then the reader skips to the next line, which is
+// served as usual.
+TEST(ServeTransport, StreamRejectsOverCapLine) {
+  Server S({.Workers = 1});
+  std::string Big = overCapRequest("big");
+  ASSERT_EQ(Big.size(), MaxRequestLineBytes + 1);
+  std::istringstream In(Big + "\n" + analyzeRequest("next", SampleProgram) +
+                        "\n");
+  std::ostringstream Out;
+  serveStream(S, In, Out);
+
+  std::istringstream Lines(Out.str());
+  std::string Line;
+  std::vector<JsonValue> Replies;
+  while (std::getline(Lines, Line))
+    Replies.push_back(parsedOk(Line));
+  ASSERT_EQ(Replies.size(), 2u) << Out.str();
+  EXPECT_EQ(errorKind(Replies[0]), "malformed");
+  EXPECT_EQ(Replies[1].strOr("id", ""), "next");
+  EXPECT_TRUE(Replies[1].boolOr("ok", false));
+  EXPECT_EQ(malformedCount(S), 1);
+  S.shutdown();
+}
+
+// Over TCP the server answers once the line passes the cap, without
+// waiting for its newline, and closes the connection; other clients are
+// served as before.
+TEST(ServeTransport, TcpRejectsOverCapLine) {
+  Server S({.Workers = 1});
+  TcpListener Listener;
+  std::string Error;
+  if (!Listener.listen(0, Error))
+    GTEST_SKIP() << "cannot bind a loopback socket here: " << Error;
+  std::thread Accept([&] { Listener.run(S); });
+
+  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(Fd, 0);
+  timeval Timeout = {10, 0}; // A server that waits for a newline fails.
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
+  sockaddr_in Addr = {};
+  Addr.sin_family = AF_INET;
+  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  Addr.sin_port = htons(Listener.port());
+  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
+            0);
+  std::string Big = overCapRequest("big");
+  for (size_t Off = 0; Off < Big.size();) {
+    ssize_t N = ::send(Fd, Big.data() + Off, Big.size() - Off, MSG_NOSIGNAL);
+    ASSERT_GT(N, 0);
+    Off += static_cast<size_t>(N);
+  }
+  std::string Received;
+  char Chunk[4096];
+  for (ssize_t N; (N = ::recv(Fd, Chunk, sizeof(Chunk), 0)) > 0;)
+    Received.append(Chunk, static_cast<size_t>(N));
+  ::close(Fd);
+  // Exactly one reply line, then end of stream (nothing at all when the
+  // server waited for a newline until the timeout).
+  std::string ReplyLine = Received.substr(0, Received.find('\n'));
+  EXPECT_EQ(Received.size(), ReplyLine.size() + 1) << Received;
+  EXPECT_EQ(errorKind(parsedOk(ReplyLine)), "malformed");
+
+  ServeClient Client;
+  ASSERT_TRUE(Client.connect("127.0.0.1:" + std::to_string(Listener.port()),
+                             Error))
+      << Error;
+  std::string Reply;
+  ASSERT_TRUE(Client.call(analyzeRequest("t1", SampleProgram), Reply, Error))
+      << Error;
+  EXPECT_TRUE(parsedOk(Reply).boolOr("ok", false));
+  Client.close();
+  EXPECT_EQ(malformedCount(S), 1);
+
   Listener.stop();
   Accept.join();
   S.shutdown();

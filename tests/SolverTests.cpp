@@ -29,8 +29,7 @@ Solved solve(const std::string &Source,
   S.A = analyze(Source);
   JumpFunctionOptions Opts;
   Opts.Kind = Kind;
-  S.Jfs = buildJumpFunctions(S.A.M, S.A.Symbols, *S.A.CG, S.A.MRI.get(),
-                             Opts);
+  S.Jfs = buildJfs(S.A, Opts);
   S.R = solveConstants(S.A.Symbols, *S.A.CG, S.Jfs, Strategy);
   return S;
 }

@@ -25,13 +25,13 @@ struct Counted {
 Counted countWith(const std::string &Source, bool UseRjf = true) {
   Counted C;
   C.A = analyze(Source);
+  AnalysisSession Session(*C.A.Ctx, C.A.Symbols);
   JumpFunctionOptions Opts;
   Opts.UseReturnJumpFunctions = UseRjf;
-  C.Jfs = buildJumpFunctions(C.A.M, C.A.Symbols, *C.A.CG, C.A.MRI.get(),
-                             Opts);
+  C.Jfs = buildJumpFunctions(Session, Opts);
   C.Solve = solveConstants(C.A.Symbols, *C.A.CG, C.Jfs);
-  C.Subs = countSubstitutions(C.A.M, C.A.Symbols, *C.A.CG, &C.Solve,
-                              C.A.MRI.get(), UseRjf ? &C.Jfs : nullptr);
+  C.Subs = countSubstitutions(Session, Opts, &C.Solve,
+                              UseRjf ? &C.Jfs : nullptr);
   return C;
 }
 
@@ -155,9 +155,9 @@ proc f(x)
   print x
 end
 )");
+  AnalysisSession Session(*A.Ctx, A.Symbols);
   SubstitutionResult Subs = countSubstitutions(
-      A.M, A.Symbols, *A.CG, /*Solve=*/nullptr, A.MRI.get(),
-      /*Jfs=*/nullptr);
+      Session, JumpFunctionOptions(), /*Solve=*/nullptr, /*Jfs=*/nullptr);
   EXPECT_EQ(Subs.Total, 0u);
 }
 

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers every test file shares: parse-and-check, and a FullAnalysis
+/// Helpers every test file shares: parse-and-check, a FullAnalysis
 /// bundle that runs the front end through MOD so IR-level tests can grab
-/// any intermediate structure.
+/// any intermediate structure, and jump functions built over a session.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +16,7 @@
 
 #include "analysis/CallGraph.h"
 #include "analysis/ModRef.h"
+#include "ipcp/AnalysisSession.h"
 #include "ir/CfgBuilder.h"
 #include "ir/Dominators.h"
 #include "lang/Parser.h"
@@ -84,11 +85,10 @@ struct FullAnalysis {
 /// any front-end error.
 inline FullAnalysis analyze(const std::string &Source) {
   FullAnalysis A;
-  DiagnosticEngine Diags;
-  A.Ctx = parseProgram(Source, Diags);
-  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
-  A.Symbols = Sema::run(*A.Ctx, Diags);
-  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+  CheckedProgram Checked = checkProgram(Source);
+  EXPECT_TRUE(Checked.ok()) << Checked.Error;
+  A.Ctx = std::move(Checked.Ctx);
+  A.Symbols = std::move(Checked.Symbols);
   A.M = buildModule(A.Ctx->program(), A.Symbols);
   auto Entry = A.Ctx->program().entryProc();
   EXPECT_TRUE(Entry.has_value());
@@ -99,11 +99,18 @@ inline FullAnalysis analyze(const std::string &Source) {
 
 /// Collects the diagnostics of a parse+sema run (for error tests).
 inline std::string diagnose(const std::string &Source) {
-  DiagnosticEngine Diags;
-  auto Ctx = parseProgram(Source, Diags);
-  if (!Diags.hasErrors())
-    Sema::run(*Ctx, Diags);
-  return Diags.str();
+  return checkProgram(Source).Error;
+}
+
+/// The jump functions of \p A under \p Opts, built as the pipeline builds
+/// them: on a fresh AnalysisSession over A's checked program (whose
+/// module and call graph match A's, so procedure and site indices line
+/// up).
+inline ProgramJumpFunctions
+buildJfs(const FullAnalysis &A,
+         const JumpFunctionOptions &Opts = JumpFunctionOptions()) {
+  AnalysisSession Session(*A.Ctx, A.Symbols);
+  return buildJumpFunctions(Session, Opts);
 }
 
 } // namespace test

@@ -21,7 +21,7 @@
 #include "ipcp/Inliner.h"
 #include "ipcp/Pipeline.h"
 #include "ir/IrPrinter.h"
-#include "lang/Parser.h"
+#include "lang/Sema.h"
 #include "serve/Client.h"
 #include "serve/Protocol.h"
 #include "serve/Render.h"
@@ -106,19 +106,11 @@ static bool parseU64(const std::string &Value, const char *Flag,
   return true;
 }
 
-// Parses and checks \p Source; prints the diagnostics and returns null
-// on any error.
-static std::unique_ptr<AstContext> checkProgram(const std::string &Source,
-                                                SymbolTable &Symbols) {
-  DiagnosticEngine Diags;
-  std::unique_ptr<AstContext> Ctx = parseProgram(Source, Diags);
-  if (!Diags.hasErrors())
-    Symbols = Sema::run(*Ctx, Diags);
-  if (Diags.hasErrors()) {
-    Diags.print(std::cerr);
-    return nullptr;
-  }
-  return Ctx;
+// Parses and checks \p Source; prints the diagnostics on any error.
+static CheckedProgram checkOrReport(const std::string &Source) {
+  CheckedProgram P = checkProgram(Source);
+  std::cerr << P.Error;
+  return P;
 }
 
 int main(int argc, char **argv) {
@@ -419,11 +411,10 @@ int main(int argc, char **argv) {
   }
 
   if (DoRun) {
-    SymbolTable Symbols;
-    std::unique_ptr<AstContext> Ctx = checkProgram(Source, Symbols);
-    if (!Ctx)
+    CheckedProgram Checked = checkOrReport(Source);
+    if (!Checked.ok())
       return 1;
-    ProgramRunner Runner(Ctx->program(), Symbols, Engine);
+    ProgramRunner Runner(Checked.Ctx->program(), Checked.Symbols, Engine);
     RunOptions RO;
     RO.ReadSeed = ReadSeed;
     RO.Limits.MaxSteps = MaxSteps;
@@ -456,14 +447,10 @@ int main(int argc, char **argv) {
 
   if (DoInline || DoClone) {
     if (DoInline) {
-      DiagnosticEngine Diags;
-      auto Ctx = parseProgram(Source, Diags);
-      SymbolTable Symbols = Sema::run(*Ctx, Diags);
-      if (Diags.hasErrors()) {
-        Diags.print(std::cerr);
+      CheckedProgram Checked = checkOrReport(Source);
+      if (!Checked.ok())
         return 1;
-      }
-      InlineResult R = inlineProgram(*Ctx, Symbols);
+      InlineResult R = inlineProgram(*Checked.Ctx, Checked.Symbols);
       std::cout << R.Source;
       std::cerr << "! inlined " << R.InlinedCalls << " calls ("
                 << R.SkippedRecursive << " recursive, "
@@ -485,11 +472,12 @@ int main(int argc, char **argv) {
   if (DumpIr || DumpSsa || DumpJf) {
     // One session, so the dumps show exactly what the analysis works
     // from.
-    SymbolTable Symbols;
-    std::unique_ptr<AstContext> Ctx = checkProgram(Source, Symbols);
-    if (!Ctx)
+    CheckedProgram Checked = checkOrReport(Source);
+    if (!Checked.ok())
       return 1;
-    AnalysisSession Session(*Ctx, Symbols);
+    const Program &Prog = Checked.Ctx->program();
+    const SymbolTable &Symbols = Checked.Symbols;
+    AnalysisSession Session(*Checked.Ctx, Symbols);
     const Module &M = Session.module();
     for (ProcId P = 0; P != M.Functions.size(); ++P) {
       if (DumpIr)
@@ -504,8 +492,8 @@ int main(int argc, char **argv) {
         const auto &Sites = CG.callSitesIn(P);
         for (size_t I = 0; I != Sites.size(); ++I) {
           const auto &Site = Jfs.PerSite[P][I];
-          std::cout << Ctx->program().Procs[P]->name() << " -> "
-                    << Ctx->program().Procs[Sites[I].Callee]->name()
+          std::cout << Prog.Procs[P]->name() << " -> "
+                    << Prog.Procs[Sites[I].Callee]->name()
                     << ":";
           const auto &Formals = Symbols.formals(Sites[I].Callee);
           for (size_t A = 0; A != Site.Args.size(); ++A)
@@ -520,7 +508,7 @@ int main(int argc, char **argv) {
         }
         for (const auto &[Sym, Rjf] : Jfs.ReturnJfs[P])
           if (!Rjf.isBottom())
-            std::cout << "return " << Ctx->program().Procs[P]->name()
+            std::cout << "return " << Prog.Procs[P]->name()
                       << "." << Symbols.symbol(Sym).Name << " = "
                       << Rjf.str(Symbols) << '\n';
       }
